@@ -2,7 +2,8 @@
 canonical form: alphabetic codes with arithmetic encode/decode over a
 marker bitvector, and optimal codes whose reversed codewords are
 canonical (the form wavelet matrices need), stored as a depth sequence
-with rank-arithmetic codecs. A classical table codec serves as baseline.
+in a wavelet matrix that the same kind of code shapes, with
+rank-arithmetic codecs. A classical table codec serves as baseline.
 """
 
 from .alphabetic import (CompactAlphabeticCode, DepthProfile, balance_at_cutoff,
@@ -12,10 +13,10 @@ from .alphabetic import (CompactAlphabeticCode, DepthProfile, balance_at_cutoff,
 from .bits import BitReader, BitWriter
 from .corpus import (Container, CorpusStats, SymbolSequence, container_read,
                      container_write, gen_zipf, ingest, stats)
-from .errors import (ContainerError, InvalidCodeState, KraftViolation, NcpcError,
-                     NoSuchOccurrence, TruncatedStream, Underflow)
-from .revcanon import (DescentTable, RevCanonCode, build_descent_table,
-                       huffman_lengths)
+from .codewords import huffman_lengths
+from .errors import (ContainerError, InvalidCodeState, InvalidStream, KraftViolation,
+                     NcpcError, NoSuchOccurrence, TruncatedStream, Underflow)
+from .revcanon import DescentTable, RevCanonCode, build_descent_table
 from .stream import SequenceCodec
 from .succinct import Bitvector, WaveletTree
 from .table_codec import TableCode
@@ -32,5 +33,5 @@ __all__ = [
     "SymbolSequence", "CorpusStats", "Container", "ingest", "gen_zipf", "stats",
     "container_read", "container_write",
     "NcpcError", "Underflow", "TruncatedStream", "NoSuchOccurrence",
-    "KraftViolation", "ContainerError", "InvalidCodeState",
+    "KraftViolation", "ContainerError", "InvalidCodeState", "InvalidStream",
 ]

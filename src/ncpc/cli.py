@@ -18,7 +18,7 @@ import numpy as np
 from .alphabetic import DepthProfile, build_alphabetic_code, compile_code
 from .bits import BitReader
 from .corpus import (FAMILY_ALPHA, FAMILY_WMM, SymbolSequence, container_read,
-                     container_write, gen_zipf, ingest, stats)
+                     container_write, depth_entropy, gen_zipf, ingest, stats)
 from .errors import NcpcError
 from .revcanon import RevCanonCode, build_descent_table, huffman_lengths
 from .stream import SequenceCodec
@@ -220,7 +220,6 @@ def bench_rows(seq: SymbolSequence, codecs: list[str], samples: list[int],
                dataset: str, time_symbols: int, reps: int) -> list[dict]:
     freqs = seq.smoothed_freqs()
     lengths = huffman_lengths(freqs)
-    st = stats(seq, "wmm")
     sample = seq.symbols[:min(seq.n, time_symbols)].tolist()
     count = len(sample)
     rows = []
@@ -254,8 +253,8 @@ def bench_rows(seq: SymbolSequence, codecs: list[str], samples: list[int],
                 "codec": name,
                 "sigma": seq.sigma,
                 "n": seq.n,
-                "L": st.max_code_len,
-                "H0_D": st.depth_entropy,
+                "L": int(lens.max()),
+                "H0_D": depth_entropy(lens),
                 "model_bits": code.model_size_bits(),
                 "payload_bits_per_symbol": full_bps,
                 "encode_ns_per_symbol": _median_ns_per_symbol(run_encode, count, reps),

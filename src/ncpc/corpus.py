@@ -140,15 +140,19 @@ def code_depths_for(seq: SymbolSequence, family: str | int) -> list[int]:
     raise ValueError(f"unknown code family: {family}")
 
 
+def depth_entropy(depths) -> float:
+    """Zero-order entropy H0(D) of a depth sequence, in bits per entry."""
+    return _entropy(np.bincount(np.asarray(depths, dtype=np.int64)))
+
+
 def stats(seq: SymbolSequence, family: str | int = "wmm") -> CorpusStats:
     depths = code_depths_for(seq, family)
-    dcounts = np.bincount(np.asarray(depths, dtype=np.int64))
     return CorpusStats(
         n=seq.n,
         sigma=seq.sigma,
         entropy=_entropy(seq.freqs),
         max_code_len=max(depths),
-        depth_entropy=_entropy(dcounts),
+        depth_entropy=depth_entropy(depths),
     )
 
 
@@ -219,6 +223,9 @@ def container_read(data: bytes) -> Container:
     L = data[18]
     if sigma < 1:
         raise ContainerError("sigma must be >= 1")
+    if L == 0 and sigma > 1:
+        # zero-width depth fields: nothing else would bound sigma by the file size
+        raise ContainerError("L = 0 needs sigma = 1")
     width = L.bit_length()
     depth_bytes = (sigma * width + 7) // 8
     if len(data) < _HEADER_LEN + depth_bytes:

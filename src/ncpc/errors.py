@@ -17,6 +17,10 @@ class NoSuchOccurrence(NcpcError, LookupError):
     """select() asked for a rank beyond the number of occurrences."""
 
 
+class InvalidStream(NcpcError, ValueError):
+    """Encoded payload holds a bit pattern that is no codeword's prefix."""
+
+
 class KraftViolation(NcpcError, ValueError):
     """Codeword lengths do not satisfy the Kraft equality."""
 

@@ -16,51 +16,14 @@ affine shifts by leaves[d-1] and nodes[d]/2.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from .bits import BitReader
+from .codewords import huffman_lengths  # noqa: F401 (part of this module's API)
+from .codewords import depth_tables, revcanon_codewords
 from .errors import (InvalidCodeState, KraftViolation, TruncatedStream,
                      Underflow)
 from .succinct import WaveletTree
-
-
-def huffman_lengths(freqs) -> list[int]:
-    """Codeword lengths of an optimal prefix code for positive weights.
-
-    Ties in the merge heap break on (weight, smallest character index in
-    the subtree); only the length multiset matters downstream.
-    """
-    n = len(freqs)
-    if n == 0:
-        raise ValueError("empty alphabet")
-    w = [int(f) for f in freqs]
-    if min(w) <= 0:
-        raise ValueError("weights must be positive")
-    if n == 1:
-        return [0]
-    heap = [(w[i], i, i) for i in range(n)]
-    heapq.heapify(heap)
-    lch: dict[int, int] = {}
-    rch: dict[int, int] = {}
-    nid = n
-    while len(heap) > 1:
-        wa, ta, a = heapq.heappop(heap)
-        wb, tb, b = heapq.heappop(heap)
-        lch[nid], rch[nid] = a, b
-        heapq.heappush(heap, (wa + wb, min(ta, tb), nid))
-        nid += 1
-    lengths = [0] * n
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, d = stack.pop()
-        if node < n:
-            lengths[node] = d
-        else:
-            stack.append((lch[node], d + 1))
-            stack.append((rch[node], d + 1))
-    return lengths
 
 
 class RevCanonCode:
@@ -85,13 +48,7 @@ class RevCanonCode:
         self.L = L
         self.depths = tuple(lengths)
 
-        leaves = [0] * (L + 1)
-        for l in lengths:
-            leaves[l] += 1
-        nodes = [0] * (L + 1)
-        nodes[0] = 1
-        for d in range(L):
-            nodes[d + 1] = 2 * (nodes[d] - leaves[d])
+        leaves, nodes = depth_tables(lengths)
         if nodes[L] != leaves[L]:
             raise KraftViolation("leaf counts inconsistent with a full tree")
         for d in range(L + 1):
@@ -133,37 +90,59 @@ class RevCanonCode:
     # -- codec ---------------------------------------------------------------
 
     def encode(self, i: int) -> tuple[int, int]:
-        """Codeword (value, length) of character i, by leaf-to-root ascent."""
+        """Codeword (value, length) of character i, by leaf-to-root ascent.
+
+        One wavelet walk gives the length l = D[i] and the character's rank
+        among those of length l; each ascent step is parent_rank inlined.
+        """
         if not 1 <= i <= self.sigma:
             raise IndexError(f"character out of range: {i}")
         if self.sigma == 1:
             return (0, 0)
-        l = self.D.access(i)
-        r = self.D.rank(l, i)
+        l, r = self.D.access_rank(i)
+        leaves = self.leaves
+        half = self._half
         v = 0
         for d in range(l, 0, -1):
-            r, bit = self.parent_rank(d, r)
-            v |= bit << (l - d)
+            h = half[d]
+            if r > h:
+                v |= 1 << (l - d)
+                r -= h
+            r += leaves[d - 1]
         return (v, l)
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
-        """(character, length) for the next codeword, by root-to-leaf descent."""
+        """(character, length) for the next codeword, by root-to-leaf descent.
+
+        Peeks up to 64 bits at a time and descends over them by rank
+        arithmetic, then skips the bits the codeword used.
+        """
         if self.sigma == 1:
             return (1, 0)
         leaves = self.leaves
         half = self._half
+        L = self.L
         d = 0
         r = 1
         while True:
-            if reader.remaining == 0:
+            width = min(L - d, 64)
+            chunk = reader.peek(width)
+            for shift in range(width - 1, -1, -1):
+                d += 1
+                r -= leaves[d - 1]
+                if (chunk >> shift) & 1:
+                    r += half[d]
+                if r <= leaves[d]:
+                    used = width - shift
+                    if used > reader.remaining:
+                        raise TruncatedStream("truncated stream")
+                    reader.skip(used)
+                    return (self.D.select(d, r), d)
+            if width > reader.remaining:
                 raise TruncatedStream("truncated stream")
-            bit = reader.read(1)
-            d += 1
-            if d > self.L:
+            if d == L:
                 raise InvalidCodeState("invalid code state")
-            r = r - leaves[d - 1] + (half[d] if bit else 0)
-            if r <= leaves[d]:
-                return (self.D.select(d, r), d)
+            reader.skip(width)
 
     def decode_fast(self, table: "DescentTable", reader: BitReader) -> tuple[int, int]:
         """decode() accelerated by t-bit chunk jumps; identical output."""
@@ -202,34 +181,12 @@ class RevCanonCode:
 
     def codeword_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, lengths) for all characters; vectorized ascent, cached."""
-        if self._arrays is not None:
-            return self._arrays
-        if self.sigma == 1:
-            self._arrays = (np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64))
-            return self._arrays
-        lens = np.asarray(self.depths, dtype=np.int64)
-        order = np.argsort(lens, kind="stable")
-        ranks = np.empty(self.sigma, dtype=np.int64)
-        sl = lens[order]
-        group_start = np.concatenate(([0], np.flatnonzero(np.diff(sl)) + 1))
-        starts_per = np.repeat(group_start, np.diff(np.concatenate((group_start, [self.sigma]))))
-        ranks[order] = np.arange(self.sigma) - starts_per + 1
-
-        vals = np.zeros(self.sigma, dtype=np.uint64)
-        r = ranks.copy()
-        leaves = self.leaves
-        half = self._half
-        for d in range(self.L, 0, -1):
-            act = lens >= d
-            rd = r[act]
-            bit = rd > half[d]
-            vals[act] |= bit.astype(np.uint64) << (lens[act] - d).astype(np.uint64)
-            r[act] = rd - bit * half[d] + leaves[d - 1]
-        self._arrays = (vals, lens)
+        if self._arrays is None:
+            self._arrays = revcanon_codewords(self.depths)
         return self._arrays
 
     def model_size_bits(self) -> int:
-        """Accounted size: wavelet tree of D plus leaves/nodes as 64-bit words."""
+        """Accounted size: wavelet matrix of D plus leaves/nodes as 64-bit words."""
         wt = self.D.size_bits() if self.D is not None else 0
         return wt + 64 * 2 * (self.L + 1)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TruncatedStream
+from .errors import InvalidStream, TruncatedStream
 
 _NUMPY_MIN = 2048  # below this, plain Python packing is faster
 
@@ -165,4 +165,4 @@ class SequenceCodec:
             sym = self._long[l].get(v)
             if sym is not None:
                 return (l, sym)
-        raise ValueError("invalid stream: no codeword matches")
+        raise InvalidStream("invalid stream: no codeword matches")

@@ -1,4 +1,4 @@
-"""Rank/select bitvectors and a wavelet tree over small alphabets.
+"""Rank/select bitvectors and a wavelet matrix over small alphabets.
 
 The bitvector is plain (uncompressed) with a two-level rank directory:
 one absolute count per 512-bit superblock and one relative count per
@@ -10,15 +10,13 @@ and never changes results.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
-from collections import Counter
 
 import numpy as np
 
+from .codewords import huffman_lengths, revcanon_codewords
 from .errors import NoSuchOccurrence
 
-_POP8 = [bin(b).count("1") for b in range(256)]
 _SEL8 = [[i for i in range(8) if b >> i & 1] for b in range(256)]
 
 
@@ -38,7 +36,7 @@ class Bitvector:
     """Static bit array with rank/select. Positions are 1-based."""
 
     __slots__ = ("n_bits", "ones", "select_sample", "_words", "_super",
-                 "_rel", "_samples")
+                 "_rel", "_zsuper", "_zrel", "_samples")
 
     def __init__(self, bits, select_sample: int = 64) -> None:
         if not isinstance(select_sample, int) or select_sample <= 0:
@@ -64,6 +62,11 @@ class Bitvector:
         self._words = words.tolist()
         self._super = sup.tolist()
         self._rel = rel.tolist()
+        # zeros before each superblock and before each word within its
+        # superblock: O(1) functions of one directory entry, kept as lists
+        # so select0 can bisect them
+        self._zsuper = ((np.arange(sup.size) << 9) - sup).tolist()
+        self._zrel = (((np.arange(nwords + 1) & 7) << 6) - rel).tolist()
 
         ones_pos = np.flatnonzero(arr)               # 0-based positions of 1s
         self._samples = ones_pos[0::select_sample].tolist()
@@ -98,39 +101,23 @@ class Bitvector:
         lo = samples[k] >> 9
         hi = ((samples[k + 1] >> 9) + 1) if k + 1 < len(samples) else len(self._super)
         sb = bisect_left(self._super, r, lo, hi) - 1
-        base = self._super[sb]
+        need = r - self._super[sb]
         j = sb << 3
-        nwords = len(self._words)
-        lim = min(j + 8, nwords)
-        while j + 1 < lim and base + self._rel[j + 1] < r:
-            j += 1
-        need = r - base - self._rel[j]
-        return (j << 6) + _select_in_word(self._words[j], need) + 1
+        j = bisect_left(self._rel, need, j, min(j + 8, len(self._words))) - 1
+        return (j << 6) + _select_in_word(self._words[j], need - self._rel[j]) + 1
 
     def select0(self, r: int) -> int:
         """1-based position of the r-th 0-bit."""
-        zeros = self.n_bits - self.ones
-        if not 1 <= r <= zeros:
+        if not 1 <= r <= self.n_bits - self.ones:
             raise ValueError(f"select0 rank out of range: {r}")
-        # binary search superblocks on zero counts (512*sb - super[sb])
-        lo, hi = 0, len(self._super) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) >> 1
-            if (mid << 9) - self._super[mid] < r:
-                lo = mid
-            else:
-                hi = mid - 1
-        sb = lo
-        base = (sb << 9) - self._super[sb]
+        # the zero counts count the padding after the last bit as zeros; it
+        # follows every real 0-bit, so the r-th zero is still a real one
+        sb = bisect_left(self._zsuper, r) - 1
+        need = r - self._zsuper[sb]
         j = sb << 3
-        nwords = len(self._words)
-        lim = min(j + 8, nwords)
-        while j + 1 < lim and base + (((j + 1 - (sb << 3)) << 6) - self._rel[j + 1]) < r:
-            j += 1
-        need = r - base - (((j - (sb << 3)) << 6) - self._rel[j])
-        valid = min(64, self.n_bits - (j << 6))
-        word = (~self._words[j]) & ((1 << valid) - 1)
-        return (j << 6) + _select_in_word(word, need) + 1
+        j = bisect_left(self._zrel, need, j, min(j + 8, len(self._words))) - 1
+        word = ~self._words[j] & 0xFFFFFFFFFFFFFFFF
+        return (j << 6) + _select_in_word(word, need - self._zrel[j]) + 1
 
     # -- accounting ------------------------------------------------------
 
@@ -147,62 +134,47 @@ class Bitvector:
 
 
 def _select_in_word(word: int, k: int) -> int:
-    """0-based position of the k-th (1-based) set bit of a 64-bit word."""
+    """0-based position of the k-th (1-based) set bit of a 64-bit word.
+
+    Halves the word down to the byte that holds the bit, then looks the
+    bit up in that byte.
+    """
     pos = 0
-    while True:
-        b = word & 0xFF
-        c = _POP8[b]
-        if c >= k:
-            return pos + _SEL8[b][k - 1]
+    c = (word & 0xFFFFFFFF).bit_count()
+    if c < k:
+        k -= c
+        word >>= 32
+        pos = 32
+    c = (word & 0xFFFF).bit_count()
+    if c < k:
+        k -= c
+        word >>= 16
+        pos += 16
+    c = (word & 0xFF).bit_count()
+    if c < k:
         k -= c
         word >>= 8
         pos += 8
-
-
-def _huffman_codes(counts: dict[int, int]) -> dict[int, tuple[int, int]]:
-    """Canonical prefix codes shaped by symbol frequency: sym -> (value, length)."""
-    if len(counts) == 1:
-        return {next(iter(counts)): (0, 0)}
-    heap = [(w, sym, sym) for sym, w in counts.items()]
-    heapq.heapify(heap)
-    lefts: dict[int, object] = {}
-    rights: dict[int, object] = {}
-    nid = -1
-    while len(heap) > 1:
-        wa, ta, a = heapq.heappop(heap)
-        wb, tb, b = heapq.heappop(heap)
-        lefts[nid], rights[nid] = a, b
-        heapq.heappush(heap, (wa + wb, min(ta, tb), nid))
-        nid -= 1
-    root = heap[0][2]
-    lengths: dict[int, int] = {}
-    stack = [(root, 0)]
-    while stack:
-        node, d = stack.pop()
-        if node >= 0:
-            lengths[node] = d
-        else:
-            stack.append((lefts[node], d + 1))
-            stack.append((rights[node], d + 1))
-    # canonical value assignment over (length, symbol)
-    codes: dict[int, tuple[int, int]] = {}
-    value = 0
-    prev = 0
-    for sym in sorted(lengths, key=lambda s: (lengths[s], s)):
-        ln = lengths[sym]
-        value <<= ln - prev
-        codes[sym] = (value, ln)
-        value += 1
-        prev = ln
-    return codes
+    return pos + _SEL8[word & 0xFF][k - 1]
 
 
 class WaveletTree:
     """access/rank/select over a sequence of integers in 1..alpha.
 
-    One concatenated bitvector per level. shape="balanced" assigns every
-    symbol the fixed-width bits of symbol-1 (ceil(lg alpha) levels);
-    shape="huffman" gives frequent symbols shorter paths.
+    Laid out as a wavelet matrix: every symbol has a codeword, and level k
+    is one bitvector holding bit k of the codeword of every entry still
+    present, ordered by the entries' reversed k-bit codeword prefixes
+    (stably), which is the previous level's zeros followed by its ones.
+    An entry whose codeword ends at depth k+1 leaves after level k. Its
+    codeword is shorter than the rest and the codes below sort finished
+    codewords before longer ones, so the finished entries are the front
+    block of the next order and are cut off before the next level.
+
+    shape="balanced" gives every symbol the fixed ceil(lg alpha) bits of
+    symbol-1, so entries leave only after the last level. shape="huffman"
+    gives the symbols that occur the reverse-canonical code over their
+    frequencies, whose finished codewords sort first at every depth: the
+    matrix is Huffman-shaped and frequent symbols leave early.
     """
 
     def __init__(self, seq, alpha: int, shape: str = "balanced",
@@ -218,50 +190,78 @@ class WaveletTree:
         self.alpha = alpha
         self.shape = shape
 
+        counts = np.bincount(arr, minlength=alpha + 1)
         if shape == "balanced":
-            m = (alpha - 1).bit_length()
-            self._codes = {sym: (sym - 1, m) for sym in range(1, alpha + 1)}
+            syms = np.arange(1, alpha + 1)
+            vals = (syms - 1).astype(np.uint64)
+            lens = np.full(alpha, (alpha - 1).bit_length(), dtype=np.int64)
         else:
-            counts = Counter(arr.tolist())
-            self._codes = {int(s): vc for s, vc in _huffman_codes(counts).items()}
+            syms = np.flatnonzero(counts)
+            vals, lens = (revcanon_codewords(huffman_lengths(counts[syms])) if syms.size
+                          else (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)))
+        self.height = int(lens.max()) if lens.size else 0
 
-        self._leaf = {(ln, val): sym for sym, (val, ln) in self._codes.items()}
-        self.height = max((ln for _, ln in self._codes.values()), default=0)
+        # Each symbol's occurrences form one block of the order at the depth
+        # where its codeword ends; blocks of one depth sort by reversed codeword.
+        syms, vals, lens = syms.tolist(), vals.tolist(), lens.tolist()
+        keys = sorted((ln, int(format(v, f"0{ln}b")[::-1], 2) if ln else 0, s, v)
+                      for s, v, ln in zip(syms, vals, lens))
+        self._codes: dict[int, tuple[int, int, int, int]] = {}   # (value, length, start, end)
+        finished: list[dict[int, tuple[int, int]]] = [{} for _ in range(self.height + 1)]
+        start, prev_ln = 0, -1
+        for ln, _, s, v in keys:
+            if ln != prev_ln:
+                start, prev_ln = 0, ln
+            end = start + int(counts[s])
+            self._codes[s] = (v, ln, start, end)
+            finished[ln][v] = (s, start)
+            start = end
+        # a matrix of height 0 has at most one symbol, whose codeword is empty
+        self._only = finished[0][0][0] if finished[0] else 0
 
-        vals = np.array([self._codes.get(int(s), (0, 0))[0] for s in arr], dtype=np.int64)
-        lens = np.array([self._codes.get(int(s), (0, 0))[1] for s in arr], dtype=np.int64)
-
-        self._levels: list[tuple[Bitvector, dict[int, int]]] = []
+        code_val = np.zeros(alpha + 1, dtype=np.int64)
+        code_len = np.zeros(alpha + 1, dtype=np.int64)
+        code_val[syms] = vals
+        code_len[syms] = lens
+        ev, el = code_val[arr], code_len[arr]
+        # per level: (bitvector, its zeros, entries cut before it, entries
+        # whose codeword ends after it, their codeword -> (symbol, block start))
+        self._levels: list[tuple[Bitvector, int, int, int, dict]] = []
+        order = np.arange(arr.size)
+        dropped = 0
         for k in range(self.height):
-            alive = lens > k
-            if not alive.any():
-                break
-            av = vals[alive]
-            al = lens[alive]
-            prefix = av >> (al - k)
-            order = np.argsort(prefix, kind="stable")
-            bits = ((av[order] >> (al[order] - k - 1)) & 1).astype(np.uint8)
-            bv = Bitvector(bits, select_sample)
-            ps = prefix[order]
-            uniq, first = np.unique(ps, return_index=True)
-            starts = {int(u): int(f) for u, f in zip(uniq, first)}
-            self._levels.append((bv, starts))
+            bits = (ev[order] >> (el[order] - k - 1)) & 1
+            bv = Bitvector(bits.astype(np.uint8), select_sample)
+            order = np.concatenate((order[bits == 0], order[bits == 1]))
+            ended = int(np.count_nonzero(el[order] == k + 1))
+            self._levels.append((bv, bv.n_bits - bv.ones, dropped, ended, finished[k + 1]))
+            order = order[ended:]
+            dropped = ended
 
-    def access(self, i: int) -> int:
+    def access_rank(self, i: int) -> tuple[int, int]:
+        """(c, rank(c, i)) for the symbol c at position i, in one walk."""
         if not 1 <= i <= self.sigma_seq:
             raise IndexError(f"position out of range: {i}")
-        k, p, pos = 0, 0, i - 1
-        while (k, p) not in self._leaf:
-            bv, starts = self._levels[k]
-            start = starts[p]
-            if bv.access(start + pos + 1):
-                pos = bv.rank1(start + pos + 1) - bv.rank1(start) - 1
-                p = (p << 1) | 1
+        p = i - 1           # 0-based position among the entries at this level
+        v = 0               # codeword bits read so far
+        for bv, zeros, _, ended, leaf in self._levels:
+            word = bv._words[p >> 6]
+            ones = (bv._super[p >> 9] + bv._rel[p >> 6]      # bv.rank1(p), inlined
+                    + (word & ((1 << (p & 63)) - 1)).bit_count())
+            if (word >> (p & 63)) & 1:
+                v = (v << 1) | 1
+                q = zeros + ones
             else:
-                pos = bv.rank0(start + pos + 1) - bv.rank0(start) - 1
-                p = p << 1
-            k += 1
-        return self._leaf[(k, p)]
+                v <<= 1
+                q = p - ones
+            if q < ended:
+                c, start = leaf[v]
+                return (c, q - start + 1)
+            p = q - ended
+        return (self._only, i)
+
+    def access(self, i: int) -> int:
+        return self.access_rank(i)[0]
 
     def rank(self, c: int, i: int) -> int:
         """Occurrences of symbol c among positions 1..i."""
@@ -272,20 +272,14 @@ class WaveletTree:
         code = self._codes.get(c)
         if code is None:
             return 0
-        val, ln = code
-        cnt = i
+        val, ln, start, _ = code
+        q = i
         for k in range(ln):
-            if cnt == 0:
-                return 0
-            bv, starts = self._levels[k]
-            start = starts.get(val >> (ln - k))
-            if start is None:
-                return 0
-            if (val >> (ln - k - 1)) & 1:
-                cnt = bv.rank1(start + cnt) - bv.rank1(start)
-            else:
-                cnt = bv.rank0(start + cnt) - bv.rank0(start)
-        return cnt
+            bv, zeros, dropped, _, _ = self._levels[k]
+            p = q - dropped
+            ones = bv.rank1(p)
+            q = zeros + ones if (val >> (ln - 1 - k)) & 1 else p - ones
+        return q - start
 
     def select(self, c: int, r: int) -> int:
         """1-based position of the r-th occurrence of symbol c."""
@@ -293,18 +287,36 @@ class WaveletTree:
             raise ValueError(f"symbol out of range: {c}")
         if r < 1:
             raise ValueError(f"select rank out of range: {r}")
-        if r > self.rank(c, self.sigma_seq):
+        code = self._codes.get(c)
+        if code is None or r > code[3] - code[2]:
             raise NoSuchOccurrence(f"no occurrence {r} of symbol {c}")
-        val, ln = self._codes[c]
-        pos = r - 1
+        val, ln, start, _ = code
+        q = start + r - 1
         for k in range(ln - 1, -1, -1):
-            bv, starts = self._levels[k]
-            start = starts[val >> (ln - k)]
-            if (val >> (ln - k - 1)) & 1:
-                pos = bv.select1(bv.rank1(start) + pos + 1) - start - 1
+            bv, zeros, dropped, _, _ = self._levels[k]
+            if (val >> (ln - 1 - k)) & 1:
+                q = bv.select1(q - zeros + 1) - 1 + dropped
             else:
-                pos = bv.select0(bv.rank0(start) + pos + 1) - start - 1
-        return pos + 1
+                q = bv.select0(q + 1) - 1 + dropped
+        return q + 1
 
     def size_bits(self) -> int:
-        return sum(bv.size_bits() for bv, _ in self._levels)
+        """Accounted size of the matrix.
+
+        Counted: each level's bitvector and zero count, each coded symbol's
+        block end and, for the huffman shape, every symbol's codeword
+        length at ceil(lg(alpha+1)) bits. A count takes ceil(lg(m+1)) bits
+        for the size m of the level it falls in (a block end falls in the
+        level where its codeword ends). Everything else is an O(1) function
+        of one counted entry: a block starts where the previous block of
+        its depth ends, and the entries ending at a depth are the end of
+        its last block. The codewords follow from the lengths, as in any
+        code determined by its lengths.
+        """
+        levels = self._levels
+        bits = sum(bv.size_bits() + bv.n_bits.bit_length() for bv, *_ in levels)
+        bits += sum((levels[ln - 1][0].n_bits if ln else self.sigma_seq).bit_length()
+                    for _, ln, _, _ in self._codes.values())
+        if self.shape == "huffman":
+            bits += self.alpha * self.alpha.bit_length()
+        return bits

@@ -13,7 +13,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .bits import BitReader
-from .errors import TruncatedStream, Underflow
+from .errors import InvalidStream, TruncatedStream, Underflow
 
 
 class TableCode:
@@ -68,7 +68,7 @@ class TableCode:
                 except Underflow:
                     raise TruncatedStream("truncated stream") from None
                 return (chars[k], ln)
-        raise ValueError("invalid stream: no codeword matches")
+        raise InvalidStream("invalid stream: no codeword matches")
 
     def codeword_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.array(self._enc_v, dtype=np.uint64),

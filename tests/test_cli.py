@@ -173,6 +173,22 @@ def test_bench_seed_env_override(tmp_path, capsys, monkeypatch):
     assert "seed=777" in out
 
 
+def test_bench_rows_report_each_codes_own_depths():
+    from ncpc.alphabetic import build_alphabetic_code
+    from ncpc.cli import bench_rows
+    from ncpc.corpus import depth_entropy, gen_zipf
+    from ncpc.revcanon import huffman_lengths
+    seq = gen_zipf(20_000, 512, 1.0, 42)
+    alpha = build_alphabetic_code(seq.smoothed_freqs())
+    wmm = huffman_lengths(seq.smoothed_freqs())
+    assert max(alpha.depths) != max(wmm)  # the corpus tells the two codes apart
+    rows = {row["codec"]: row for row in
+            bench_rows(seq, ["wmm", "alpha"], [64], "z", time_symbols=50, reps=1)}
+    assert rows["alpha"]["L"] == max(alpha.depths)
+    assert rows["alpha"]["H0_D"] == pytest.approx(depth_entropy(alpha.depths))
+    assert rows["wmm"]["L"] == max(wmm)
+
+
 def test_bench_wmm_model_smaller_than_table(capsys):
     assert run(["bench", "--zipf", "30000,1024,1.0", "--codecs", "wmm,table",
                 "--select-samples", "64", "--time-symbols", "500"]) == EXIT_OK

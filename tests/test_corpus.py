@@ -177,6 +177,14 @@ def test_container_sigma1_empty_codeword():
     assert out.tolist() == [1] * 5
 
 
+def test_container_zero_width_depths_need_sigma_one():
+    # L = 0 gives zero-width depth fields, so sigma alone must not size the depth list
+    blob = bytearray(container_write([0], FAMILY_WMM, b"", 0))
+    blob[6:10] = (1 << 20).to_bytes(4, "little")
+    with pytest.raises(ContainerError):
+        container_read(bytes(blob))
+
+
 def test_container_truncated():
     blob = container_write([1, 1], FAMILY_WMM, b"\xff", 3)
     with pytest.raises(ContainerError):

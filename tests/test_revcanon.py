@@ -151,6 +151,44 @@ def test_decode_truncated_stream():
         code.decode(BitReader(w.getvalue(), 3))
 
 
+def test_zipf_4096_encode_decode_match_codeword_arrays():
+    from ncpc.corpus import gen_zipf
+    code = RevCanonCode(huffman_lengths(gen_zipf(100_000, 4096, 1.0, 7).smoothed_freqs()),
+                        shape="huffman")
+    vals, lens = (a.tolist() for a in code.codeword_arrays())
+    assert [code.encode(c) for c in range(1, code.sigma + 1)] == list(zip(vals, lens))
+    w = BitWriter()
+    for v, l in zip(vals, lens):
+        w.write(v, l)
+    r = BitReader(w.getvalue(), w.bit_length)
+    assert [code.decode(r) for _ in vals] == list(zip(range(1, code.sigma + 1), lens))
+    assert r.remaining == 0
+    # a payload that stops one bit short of the longest codeword
+    c = lens.index(code.L) + 1
+    w = BitWriter()
+    w.write(vals[c - 1] >> 1, code.L - 1)
+    with pytest.raises(TruncatedStream):
+        code.decode(BitReader(w.getvalue(), code.L - 1))
+
+
+def test_decode_codewords_longer_than_one_peek():
+    lengths = list(range(1, 70)) + [69]      # codewords up to 69 bits
+    code = RevCanonCode(lengths)
+    msg = [70, 1, 69, 35, 64, 65, 2, 70]
+    w = BitWriter()
+    for m in msg:
+        v, l = code.encode(m)
+        if l > 64:
+            w.write(v >> 64, l - 64)
+            l = 64
+        w.write(v & ((1 << l) - 1), l)
+    r = BitReader(w.getvalue(), w.bit_length)
+    assert [code.decode(r) for _ in msg] == [(m, lengths[m - 1]) for m in msg]
+    r = BitReader(w.getvalue(), 66)           # cut inside the first (69-bit) codeword
+    with pytest.raises(TruncatedStream):
+        code.decode(r)
+
+
 def test_roundtrip_random(rng):
     for _ in range(50):
         sigma = int(rng.integers(1, 700))

@@ -3,7 +3,7 @@ import pytest
 
 from ncpc.alphabetic import build_alphabetic_code
 from ncpc.bits import BitReader
-from ncpc.errors import TruncatedStream
+from ncpc.errors import InvalidStream, TruncatedStream
 from ncpc.revcanon import RevCanonCode, huffman_lengths
 from ncpc.stream import SequenceCodec
 
@@ -41,6 +41,13 @@ def test_long_codeword_fallback():
     msg = list(range(1, 41)) * 3
     data, nbits = sc.encode(msg)
     assert sc.decode(data, len(msg), nbits).tolist() == msg
+
+
+def test_long_codeword_no_match_is_invalid_stream():
+    # an incomplete code: 0 and one 17-bit codeword; a stream of ones matches neither
+    sc = SequenceCodec(np.array([0, 1 << 16], dtype=np.uint64), np.array([1, 17]))
+    with pytest.raises(InvalidStream, match="invalid stream"):
+        sc.decode(b"\xff" * 4, 1)
 
 
 def test_truncation_detected(rng):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import bits_of
 from ncpc.bits import BitReader, BitWriter
-from ncpc.errors import TruncatedStream
+from ncpc.errors import InvalidStream, TruncatedStream
 from ncpc.revcanon import RevCanonCode, huffman_lengths
 from ncpc.table_codec import TableCode
 
@@ -52,7 +52,7 @@ def test_decode_no_match_is_error():
     tc = TableCode([(1, 0b00, 2), (2, 0b01, 2)])
     w = BitWriter()
     w.write(0b11, 2)
-    with pytest.raises(ValueError, match="invalid stream"):
+    with pytest.raises(InvalidStream, match="invalid stream"):
         tc.decode(BitReader(w.getvalue(), 2))
 
 

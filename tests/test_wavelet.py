@@ -90,3 +90,44 @@ def test_huffman_skewed_shape_is_shallow(rng):
     wtb = WaveletTree(seq, 8, "balanced")
     assert wt.size_bits() < wtb.size_bits()
     assert wt.access(1) == 1
+
+
+def test_access_rank_fuses_access_and_rank(rng):
+    skewed = [3] * 500 + rng.integers(1, 9, 60).tolist()
+    rng.shuffle(skewed)
+    cases = [(rng.integers(1, 13, 700).tolist(), 12),   # random
+             (skewed, 8),                               # heavily skewed
+             ([5] * 40, 9),                             # one distinct value
+             ([1] * 30, 1)]                             # alpha = 1
+    for seq, alpha in cases:
+        for shape in ("balanced", "huffman"):
+            wt = WaveletTree(seq, alpha, shape)
+            for i in range(1, len(seq) + 1):
+                c = wt.access(i)
+                assert wt.access_rank(i) == (c, wt.rank(c, i))
+            for c in set(seq):
+                with pytest.raises(NoSuchOccurrence):
+                    wt.select(c, seq.count(c) + 1)
+            with pytest.raises(IndexError):
+                wt.access_rank(len(seq) + 1)
+
+
+def test_huffman_shape_is_the_reverse_canonical_code_of_the_counts(rng):
+    from ncpc.codewords import huffman_lengths, revcanon_codewords
+    seq = rng.integers(1, 20, 900).tolist() + [7] * 400
+    wt = WaveletTree(seq, 24, "huffman")
+    present = sorted(set(seq))
+    vals, lens = revcanon_codewords(huffman_lengths([seq.count(c) for c in present]))
+    assert {c: wt._codes[c][:2] for c in present} == dict(
+        zip(present, zip(vals.tolist(), lens.tolist())))
+    assert wt.height == max(lens.tolist())
+
+
+def test_empty_sequence():
+    for shape in ("balanced", "huffman"):
+        wt = WaveletTree([], 4, shape)
+        assert wt.rank(2, 0) == 0
+        with pytest.raises(NoSuchOccurrence):
+            wt.select(2, 1)
+        with pytest.raises(IndexError):
+            wt.access(1)
