@@ -2,10 +2,10 @@
 
 An alphabetic code keeps codewords in alphabet order, so the code is
 fully described by its leaf-depth profile. The builder finds a
-minimum-cost ordered tree (Garsia-Wachs, cross-checked by interval DP),
-restricts its height when needed, then completely balances every subtree
-rooted at a cutoff depth. The balanced shape admits an arithmetic
-encoder/decoder over three small structures:
+minimum-cost ordered tree (Garsia-Wachs), restricts its height when
+needed, then completely balances every subtree rooted at a cutoff depth.
+The balanced shape admits an arithmetic encoder/decoder over three small
+structures:
 
   B  marker bitvector over the alphabet (1 = shallow leaf or leftmost
      leaf of a subtree rooted at the cutoff depth),
@@ -16,12 +16,13 @@ encoder/decoder over three small structures:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .bits import BitReader
+from .codewords import parent_depths
 from .errors import KraftViolation, TruncatedStream, Underflow
 from .succinct import Bitvector
 
@@ -59,10 +60,12 @@ class DepthProfile:
     """Leaf depths of a full ordered binary tree, in alphabet order."""
 
     depths: tuple[int, ...]
+    _codewords: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
-        canonical_codewords(self.depths)  # validates order-realizability + fullness
+        # validates order-realizability + fullness; kept for codewords()
+        object.__setattr__(self, "_codewords", tuple(canonical_codewords(self.depths)))
 
     @property
     def sigma(self) -> int:
@@ -72,8 +75,8 @@ class DepthProfile:
     def height(self) -> int:
         return max(self.depths)
 
-    def codewords(self) -> list[tuple[int, int]]:
-        return canonical_codewords(self.depths)
+    def codewords(self) -> tuple[tuple[int, int], ...]:
+        return self._codewords
 
 
 def expected_length(profile: DepthProfile, freqs) -> Fraction:
@@ -108,10 +111,20 @@ def height_cap_for(sigma: int) -> int:
 def garsia_wachs(freqs) -> list[int]:
     """Leaf depths of a minimum-cost ordered binary tree.
 
-    Two-phase method: repeatedly combine the leftmost pair (x[j-1], x[j])
-    with x[j-1] <= x[j+1] and reinsert the merged weight right after the
+    Two-phase method: repeatedly combine the leftmost pair (x[k-1], x[k])
+    with x[k-1] <= x[k+1] and reinsert the merged weight right after the
     nearest left element >= it; the leaf depths of the combination tree
     are realizable in the original order and optimal.
+
+    The working list holds only the scanned prefix, between a left
+    sentinel and the next input weight, so no pair inside it qualifies.
+    After a merge only two pairs can newly qualify: the one just left of
+    the reinsertion point and the one at the gap the merge left. Each is
+    named by the element that closes it, as a distance from the list's
+    end, which merges further left do not change; a stack of these
+    distances is checked innermost (leftmost) first. Each merge moves only
+    the entries right of the reinsertion point; on monotone weights that
+    is still quadratic in the worst case.
     """
     n = len(freqs)
     if n == 0:
@@ -121,93 +134,32 @@ def garsia_wachs(freqs) -> list[int]:
     ws = [int(f) for f in freqs]
     if min(ws) <= 0:
         raise ValueError("weights must be positive")
-    lch = [-1] * n
-    rch = [-1] * n
     INF = float("inf")
-    ids = [-1] + list(range(n)) + [-1]
-    wts = [INF] + ws[:] + [INF]
-
-    j = 2
-    while len(ids) > 3:
-        last = len(ids) - 2
-        if j > last:
-            j = last
-        if j < 2:
-            j = 2
-        while wts[j - 1] > wts[j + 1]:
-            j += 1
-        a, b = ids[j - 1], ids[j]
-        w = wts[j - 1] + wts[j]
-        nid = len(ws)
-        ws.append(w)
-        lch.append(a)
-        rch.append(b)
-        del ids[j - 1:j + 1]
-        del wts[j - 1:j + 1]
-        q = j - 2
-        while wts[q] < w:
-            q -= 1
-        ids.insert(q + 1, nid)
-        wts.insert(q + 1, w)
-        j = max(2, q)
-
-    depths = [0] * n
-    stack = [(ids[1], 0)]
-    while stack:
-        node, d = stack.pop()
-        if node < n:
-            depths[node] = d
-        else:
-            stack.append((lch[node], d + 1))
-            stack.append((rch[node], d + 1))
-    return depths
-
-
-def optimal_depths_dp(freqs) -> list[int]:
-    """Interval DP with the monotone split-point window; quadratic time.
-
-    Reference implementation for moderate alphabets; used to cross-check
-    the Garsia-Wachs builder.
-    """
-    n = len(freqs)
-    if n == 0:
-        raise ValueError("empty alphabet")
-    if n == 1:
-        return [0]
-    w = [int(f) for f in freqs]
-    pref = [0]
-    for f in w:
-        pref.append(pref[-1] + f)
-    INF = float("inf")
-    cost = [[0] * n for _ in range(n)]
-    root = [[0] * n for _ in range(n)]
-    for i in range(n):
-        root[i][i] = i
-    for ln in range(1, n):
-        for i in range(n - ln):
-            jj = i + ln
-            lo = root[i][jj - 1]
-            hi = min(root[i + 1][jj] if i + 1 <= jj else jj - 1, jj - 1)
-            best = INF
-            bk = lo
-            for k in range(lo, hi + 1):
-                c = cost[i][k] + cost[k + 1][jj]
-                if c < best:
-                    best = c
-                    bk = k
-            cost[i][jj] = best + pref[jj + 1] - pref[i]
-            root[i][jj] = bk
-    depths = [0] * n
-    stack = [(0, n - 1, 0)]
-    while stack:
-        i, jj, d = stack.pop()
-        if i == jj:
-            depths[i] = d
-        else:
-            k = root[i][jj]
-            stack.append((i, k, d + 1))
-            stack.append((k + 1, jj, d + 1))
-    return depths
+    parent = [0] * (2 * n - 1)
+    ids = [-1]
+    wts = [INF]
+    nid = n
+    for k in range(n + 1):
+        ids.append(k if k < n else -1)
+        wts.append(ws[k] if k < n else INF)
+        pending = [1]
+        while pending:
+            j = len(wts) - pending[-1]
+            if j < 3 or wts[j - 2] > wts[j]:
+                pending.pop()
+                continue
+            w = wts[j - 2] + wts[j - 1]
+            parent[ids[j - 2]] = parent[ids[j - 1]] = nid
+            del wts[j - 2:j]
+            del ids[j - 2:j]
+            q = j - 3
+            while wts[q] < w:
+                q -= 1
+            wts.insert(q + 1, w)
+            ids.insert(q + 1, nid)
+            nid += 1
+            pending.append(len(wts) - q - 1)
+    return parent_depths(parent, n)
 
 
 def build_optimal_alphabetic(freqs) -> DepthProfile:
@@ -334,6 +286,7 @@ class CompactAlphabeticCode:
         self.sigma = sigma
         self.cutoff = cutoff
         self.height_cap = height_cap
+        self.profile = profile
         self.depths = profile.depths
         self.B = B
         self._s_vals = s_vals
@@ -406,7 +359,7 @@ class CompactAlphabeticCode:
     def codeword_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, lengths) for all characters, cached."""
         if self._arrays is None:
-            cws = canonical_codewords(self.depths)
+            cws = self.profile.codewords()
             vals = np.array([v for v, _ in cws], dtype=np.uint64)
             lens = np.array([l for _, l in cws], dtype=np.int64)
             self._arrays = (vals, lens)

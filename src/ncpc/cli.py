@@ -30,7 +30,7 @@ EXIT_DATA = 2
 EXIT_SELFTEST = 3
 
 BENCH_COLUMNS = ["dataset", "codec", "sigma", "n", "L", "H0_D", "model_bits",
-                 "payload_bits_per_symbol", "encode_ns_per_symbol",
+                 "build_s", "payload_bits_per_symbol", "encode_ns_per_symbol",
                  "decode_ns_per_symbol", "select_sample"]
 
 
@@ -218,19 +218,32 @@ def _bench_corpus(args) -> tuple[str, SymbolSequence]:
 
 def bench_rows(seq: SymbolSequence, codecs: list[str], samples: list[int],
                dataset: str, time_symbols: int, reps: int) -> list[dict]:
+    """One row per codec and select sample. `build_s` is the seconds from the
+    frequencies to the codec's model: for wmm and table it includes the
+    shared `huffman_lengths`, and the table's excludes the wavelet matrix."""
     freqs = seq.smoothed_freqs()
+    t0 = time.perf_counter()
     lengths = huffman_lengths(freqs)
+    huffman_s = time.perf_counter() - t0
     sample = seq.symbols[:min(seq.n, time_symbols)].tolist()
     count = len(sample)
     rows = []
     for ssamp in samples:
         codes = {}
+        build_s = {}
+
+        def timed(name, build, since_s=0.0):
+            t0 = time.perf_counter()
+            codes[name] = build()
+            build_s[name] = since_s + time.perf_counter() - t0
+
         if "wmm" in codecs or "table" in codecs:
-            codes["wmm"] = RevCanonCode(lengths, shape="huffman", select_sample=ssamp)
+            timed("wmm", lambda: RevCanonCode(lengths, shape="huffman", select_sample=ssamp),
+                  huffman_s)
         if "table" in codecs:
-            codes["table"] = TableCode.from_code(codes["wmm"])
+            timed("table", lambda: TableCode.from_code(codes["wmm"]), huffman_s)
         if "alpha" in codecs:
-            codes["alpha"] = build_alphabetic_code(freqs, select_sample=ssamp)
+            timed("alpha", lambda: build_alphabetic_code(freqs, select_sample=ssamp))
         for name in codecs:
             code = codes[name]
             vals, lens = code.codeword_arrays()
@@ -256,6 +269,7 @@ def bench_rows(seq: SymbolSequence, codecs: list[str], samples: list[int],
                 "L": int(lens.max()),
                 "H0_D": depth_entropy(lens),
                 "model_bits": code.model_size_bits(),
+                "build_s": build_s[name],
                 "payload_bits_per_symbol": full_bps,
                 "encode_ns_per_symbol": _median_ns_per_symbol(run_encode, count, reps),
                 "decode_ns_per_symbol": _median_ns_per_symbol(run_decode, count, reps),

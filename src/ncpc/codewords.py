@@ -7,16 +7,21 @@ matrix that stores its depth sequence use them, so they live below both.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
+
+
+MAX_CODEWORD_BITS = 64  # codeword values are held in uint64
 
 
 def huffman_lengths(freqs) -> list[int]:
     """Codeword lengths of an optimal prefix code for positive weights.
 
-    Ties in the merge heap break on (weight, smallest character index in
-    the subtree); only the length multiset matters downstream.
+    Two-queue merge (van Leeuwen 1976): the leaves sorted by (weight,
+    index) and a FIFO of merged nodes, each keyed by (weight, smallest
+    character index below it). Every merge takes the two smallest heads
+    under that key; merged nodes come out in increasing key order, so the
+    FIFO stays sorted, and the merges are those of a heap under the same
+    key. The key is packed as weight * n + index.
     """
     n = len(freqs)
     if n == 0:
@@ -26,27 +31,48 @@ def huffman_lengths(freqs) -> list[int]:
         raise ValueError("weights must be positive")
     if n == 1:
         return [0]
-    heap = [(w[i], i, i) for i in range(n)]
-    heapq.heapify(heap)
-    lch: dict[int, int] = {}
-    rch: dict[int, int] = {}
-    nid = n
-    while len(heap) > 1:
-        wa, ta, a = heapq.heappop(heap)
-        wb, tb, b = heapq.heappop(heap)
-        lch[nid], rch[nid] = a, b
-        heapq.heappush(heap, (wa + wb, min(ta, tb), nid))
-        nid += 1
-    lengths = [0] * n
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, d = stack.pop()
-        if node < n:
-            lengths[node] = d
+    big = (sum(w) + 1) * n  # above every key: ends both queues
+    leaves = sorted([wi * n + i for i, wi in enumerate(w)])
+    leaves.append(big)
+    merged = [big] * (n - 1)
+    parent = [0] * (2 * n - 1)
+    a = b = 0
+    for m in range(n - 1):
+        up = n + m
+        k1 = merged[b]
+        k2 = leaves[a]
+        if k1 < k2:
+            parent[n + b] = up
+            b += 1
         else:
-            stack.append((lch[node], d + 1))
-            stack.append((rch[node], d + 1))
-    return lengths
+            k1 = k2
+            parent[k1 % n] = up
+            a += 1
+        k2 = merged[b]
+        k = leaves[a]
+        if k2 < k:
+            parent[n + b] = up
+            b += 1
+        else:
+            k2 = k
+            parent[k2 % n] = up
+            a += 1
+        t1 = k1 % n
+        t2 = k2 % n
+        merged[m] = k1 - t1 + k2 - t2 + (t1 if t1 < t2 else t2)
+    return parent_depths(parent, n)
+
+
+def parent_depths(parent: list[int], n: int) -> list[int]:
+    """Leaf depths of a merge tree whose nodes are numbered in creation order.
+
+    Leaves are 0..n-1, merged nodes n..2n-2 with the root last, so every
+    parent comes after its children and one reverse pass sets all depths.
+    """
+    depth = [0] * len(parent)
+    for v in range(len(parent) - 2, -1, -1):
+        depth[v] = depth[parent[v]] + 1
+    return depth[:n]
 
 
 def depth_tables(lengths) -> tuple[list[int], list[int]]:
@@ -68,10 +94,13 @@ def revcanon_codewords(lengths) -> tuple[np.ndarray, np.ndarray]:
     Character i gets the leaf whose rank at depth lengths[i] is its rank
     among the characters of that length; the ascent to the root reads
     one codeword bit per level, a right child being one whose rank
-    exceeds nodes[d]/2. The lengths must satisfy the Kraft equality.
+    exceeds nodes[d]/2. The lengths must satisfy the Kraft equality and
+    be at most MAX_CODEWORD_BITS, since the values are uint64.
     """
     lens = np.asarray(lengths, dtype=np.int64)
     sigma = lens.size
+    if lens.max() > MAX_CODEWORD_BITS:
+        raise ValueError(f"codewords longer than {MAX_CODEWORD_BITS} bits")
     if sigma == 1:
         return np.zeros(1, dtype=np.uint64), lens
     leaves, nodes = depth_tables(lens.tolist())

@@ -7,7 +7,7 @@ Container layout (little-endian integers, MSB-first bit fields):
   family  1 byte   0 = alphabetic, 1 = reverse-canonical
   sigma   4 bytes  u32le
   n       8 bytes  u64le
-  L       1 byte   max codeword length
+  L       1 byte   max codeword length, at most 64
   depths  sigma fields of ceil(lg(L+1)) bits each, MSB-first, zero-padded
           to a byte boundary
   payload encoded symbols, MSB-first, zero-padded to a byte boundary
@@ -25,6 +25,7 @@ import numpy as np
 
 from .alphabetic import build_alphabetic_code, canonical_codewords
 from .bits import BitReader, BitWriter
+from .codewords import MAX_CODEWORD_BITS
 from .errors import ContainerError, KraftViolation
 from .revcanon import huffman_lengths
 
@@ -190,8 +191,8 @@ def container_write(depths, family: int, payload: bytes, n: int) -> bytes:
     _validate_model(depths, family)
     sigma = len(depths)
     L = max(depths)
-    if L > 255:
-        raise ValueError("max codeword length exceeds 255")
+    if L > MAX_CODEWORD_BITS:
+        raise ValueError(f"max codeword length exceeds {MAX_CODEWORD_BITS}")
     if sigma > 0xFFFFFFFF:
         raise ValueError("sigma exceeds 32 bits")
 
@@ -223,6 +224,8 @@ def container_read(data: bytes) -> Container:
     L = data[18]
     if sigma < 1:
         raise ContainerError("sigma must be >= 1")
+    if L > MAX_CODEWORD_BITS:
+        raise ContainerError(f"max codeword length exceeds {MAX_CODEWORD_BITS}: {L}")
     if L == 0 and sigma > 1:
         # zero-width depth fields: nothing else would bound sigma by the file size
         raise ContainerError("L = 0 needs sigma = 1")

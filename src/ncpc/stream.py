@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .codewords import MAX_CODEWORD_BITS
 from .errors import InvalidStream, TruncatedStream
 
 _NUMPY_MIN = 2048  # below this, plain Python packing is faster
@@ -23,6 +24,9 @@ class SequenceCodec:
         self._lens = np.asarray(lengths, dtype=np.int64)
         self.sigma = int(self._vals.size)
         self.max_len = int(self._lens.max()) if self.sigma else 0
+        self.min_len = int(self._lens.min()) if self.sigma else 0
+        if self.max_len > MAX_CODEWORD_BITS:
+            raise ValueError(f"codewords longer than {MAX_CODEWORD_BITS} bits")
         self._vals_list = self._vals.tolist()
         self._lens_list = self._lens.tolist()
 
@@ -115,6 +119,9 @@ class SequenceCodec:
             raise ValueError("n must be >= 0")
         if nbits is None:
             nbits = 8 * len(data)
+        if n * self.min_len > nbits:
+            # n comes from outside: check it against the payload before allocating
+            raise TruncatedStream("truncated stream")
         if self.max_len == 0:
             return np.ones(n, dtype=np.uint32)
         t = self._t

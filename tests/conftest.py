@@ -2,13 +2,16 @@
 
 Everything here is deliberately independent of the library's fast paths:
 linear scans, exhaustive tree enumeration, a greedy explicit-tree codec,
-and a two-queue Huffman cost. Tests compare library output against these.
+a two-queue Huffman cost, an interval DP for optimal ordered trees, and
+the earlier list-rescanning Garsia-Wachs and heap Huffman builders. Tests
+compare library output against these.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import heapq
 
 import numpy as np
 import pytest
@@ -156,6 +159,172 @@ def huffman_cost_twoqueue(freqs) -> int:
         cost += a + b
         q2.append(a + b)
     return cost
+
+
+# -- reference builders: the library's earlier optimal-tree routines --------
+# Kept verbatim as oracles; the library's builders must return identical
+# depth lists, not merely lists of equal cost.
+
+def garsia_wachs_reference(freqs) -> list[int]:
+    """Leaf depths of a minimum-cost ordered binary tree.
+
+    Two-phase method: repeatedly combine the leftmost pair (x[j-1], x[j])
+    with x[j-1] <= x[j+1] and reinsert the merged weight right after the
+    nearest left element >= it; the leaf depths of the combination tree
+    are realizable in the original order and optimal.
+    """
+    n = len(freqs)
+    if n == 0:
+        raise ValueError("empty alphabet")
+    if n == 1:
+        return [0]
+    ws = [int(f) for f in freqs]
+    if min(ws) <= 0:
+        raise ValueError("weights must be positive")
+    lch = [-1] * n
+    rch = [-1] * n
+    INF = float("inf")
+    ids = [-1] + list(range(n)) + [-1]
+    wts = [INF] + ws[:] + [INF]
+
+    j = 2
+    while len(ids) > 3:
+        last = len(ids) - 2
+        if j > last:
+            j = last
+        if j < 2:
+            j = 2
+        while wts[j - 1] > wts[j + 1]:
+            j += 1
+        a, b = ids[j - 1], ids[j]
+        w = wts[j - 1] + wts[j]
+        nid = len(ws)
+        ws.append(w)
+        lch.append(a)
+        rch.append(b)
+        del ids[j - 1:j + 1]
+        del wts[j - 1:j + 1]
+        q = j - 2
+        while wts[q] < w:
+            q -= 1
+        ids.insert(q + 1, nid)
+        wts.insert(q + 1, w)
+        j = max(2, q)
+
+    depths = [0] * n
+    stack = [(ids[1], 0)]
+    while stack:
+        node, d = stack.pop()
+        if node < n:
+            depths[node] = d
+        else:
+            stack.append((lch[node], d + 1))
+            stack.append((rch[node], d + 1))
+    return depths
+
+
+def huffman_lengths_heap(freqs) -> list[int]:
+    """Codeword lengths of an optimal prefix code for positive weights.
+
+    Ties in the merge heap break on (weight, smallest character index in
+    the subtree); only the length multiset matters downstream.
+    """
+    n = len(freqs)
+    if n == 0:
+        raise ValueError("empty alphabet")
+    w = [int(f) for f in freqs]
+    if min(w) <= 0:
+        raise ValueError("weights must be positive")
+    if n == 1:
+        return [0]
+    heap = [(w[i], i, i) for i in range(n)]
+    heapq.heapify(heap)
+    lch: dict[int, int] = {}
+    rch: dict[int, int] = {}
+    nid = n
+    while len(heap) > 1:
+        wa, ta, a = heapq.heappop(heap)
+        wb, tb, b = heapq.heappop(heap)
+        lch[nid], rch[nid] = a, b
+        heapq.heappush(heap, (wa + wb, min(ta, tb), nid))
+        nid += 1
+    lengths = [0] * n
+    stack = [(heap[0][2], 0)]
+    while stack:
+        node, d = stack.pop()
+        if node < n:
+            lengths[node] = d
+        else:
+            stack.append((lch[node], d + 1))
+            stack.append((rch[node], d + 1))
+    return lengths
+
+
+def optimal_depths_dp(freqs) -> list[int]:
+    """Interval DP with the monotone split-point window; quadratic time.
+
+    Reference implementation for moderate alphabets; used to cross-check
+    the Garsia-Wachs builder.
+    """
+    n = len(freqs)
+    if n == 0:
+        raise ValueError("empty alphabet")
+    if n == 1:
+        return [0]
+    w = [int(f) for f in freqs]
+    pref = [0]
+    for f in w:
+        pref.append(pref[-1] + f)
+    INF = float("inf")
+    cost = [[0] * n for _ in range(n)]
+    root = [[0] * n for _ in range(n)]
+    for i in range(n):
+        root[i][i] = i
+    for ln in range(1, n):
+        for i in range(n - ln):
+            jj = i + ln
+            lo = root[i][jj - 1]
+            hi = min(root[i + 1][jj] if i + 1 <= jj else jj - 1, jj - 1)
+            best = INF
+            bk = lo
+            for k in range(lo, hi + 1):
+                c = cost[i][k] + cost[k + 1][jj]
+                if c < best:
+                    best = c
+                    bk = k
+            cost[i][jj] = best + pref[jj + 1] - pref[i]
+            root[i][jj] = bk
+    depths = [0] * n
+    stack = [(0, n - 1, 0)]
+    while stack:
+        i, jj, d = stack.pop()
+        if i == jj:
+            depths[i] = d
+        else:
+            k = root[i][jj]
+            stack.append((i, k, d + 1))
+            stack.append((k + 1, jj, d + 1))
+    return depths
+
+
+def tie_heavy_weight_cases(rng, count: int, sigma_max: int = 60):
+    """Weight vectors for builder-equality tests, cycling through five kinds:
+    {1..5}, {1..1000}, sorted ascending, sorted descending, {1, 2, 4, 8, 2^20}."""
+    powers = np.array([1, 2, 4, 8, 1 << 20])
+    for case in range(count):
+        sigma = int(rng.integers(1, sigma_max + 1))
+        kind = case % 5
+        if kind == 0:
+            w = rng.integers(1, 6, sigma)
+        elif kind == 1:
+            w = rng.integers(1, 1001, sigma)
+        elif kind == 2:
+            w = np.sort(rng.integers(1, 50, sigma))
+        elif kind == 3:
+            w = np.sort(rng.integers(1, 50, sigma))[::-1]
+        else:
+            w = rng.choice(powers, sigma)
+        yield w.tolist()
 
 
 # -- misc ---------------------------------------------------------------------

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TreeCodec, all_ordered_profiles, brute_optimal_cost
+from conftest import (TreeCodec, all_ordered_profiles, brute_optimal_cost,
+                      garsia_wachs_reference, optimal_depths_dp,
+                      tie_heavy_weight_cases)
 from ncpc.alphabetic import (DepthProfile, balance_at_cutoff, balanced_run_depths,
                              build_alphabetic_code, build_height_restricted,
                              build_optimal_alphabetic, canonical_codewords,
                              compile_code, cutoff_for, expected_length,
-                             garsia_wachs, height_cap_for, optimal_depths_dp)
+                             garsia_wachs, height_cap_for)
+from ncpc.corpus import gen_zipf
 from ncpc.bits import BitReader, BitWriter
 from ncpc.errors import KraftViolation, TruncatedStream
 
@@ -65,6 +68,22 @@ def test_gw_matches_dp_moderate(rng):
         g = garsia_wachs(freqs)
         d = optimal_depths_dp(freqs)
         assert cost(freqs, g) == cost(freqs, d)
+
+
+def test_gw_identical_to_reference_random(rng):
+    for freqs in tie_heavy_weight_cases(rng, 2500):
+        assert garsia_wachs(freqs) == garsia_wachs_reference(freqs), freqs
+
+
+def test_gw_identical_to_reference_zipf_4096():
+    freqs = gen_zipf(200_000, 4096, 1.0, 1).smoothed_freqs()
+    assert garsia_wachs(freqs) == garsia_wachs_reference(freqs)
+
+
+def test_profile_codewords_computed_once():
+    prof = DepthProfile((1, 2, 3, 3))
+    assert prof.codewords() is prof.codewords()
+    assert list(prof.codewords()) == canonical_codewords(prof.depths)
 
 
 # -- height-restricted DP -----------------------------------------------------

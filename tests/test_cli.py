@@ -135,6 +135,7 @@ def test_bench_csv_columns(tmp_path):
         assert int(row["model_bits"]) > 0
         assert float(row["encode_ns_per_symbol"]) > 0
         assert float(row["decode_ns_per_symbol"]) > 0
+        assert float(row["build_s"]) >= 0 and len(row["build_s"].split(".")[1]) == 4
         assert row["select_sample"] == "32"
         # ratios carry 4 decimals, integers are unadorned
         assert "." in row["H0_D"] and len(row["H0_D"].split(".")[1]) == 4
@@ -157,10 +158,10 @@ def test_bench_deterministic_nontiming_columns(capsys):
                     "--select-samples", "16,64", "--time-symbols", "400"]) == EXIT_OK
         out = capsys.readouterr().out.strip().splitlines()[1:]
         stripped = []
+        timing = {"build_s", "encode_ns_per_symbol", "decode_ns_per_symbol"}
         for line in out:
-            cells = line.split(",")
-            del cells[8:10]  # timing columns
-            stripped.append(cells)
+            stripped.append([cell for col, cell in zip(BENCH_COLUMNS, line.split(","))
+                             if col not in timing])
         rows.append(stripped)
     assert rows[0] == rows[1]
 
@@ -187,6 +188,19 @@ def test_bench_rows_report_each_codes_own_depths():
     assert rows["alpha"]["L"] == max(alpha.depths)
     assert rows["alpha"]["H0_D"] == pytest.approx(depth_entropy(alpha.depths))
     assert rows["wmm"]["L"] == max(wmm)
+    assert rows["wmm"]["build_s"] > 0 and rows["alpha"]["build_s"] > 0
+
+
+def test_decode_refuses_n_beyond_the_payload(tmp_path, capsys):
+    src = tmp_path / "s.bin"
+    src.write_bytes(b"abracadabra")
+    enc = tmp_path / "s.ncp"
+    assert run(["encode", str(src), str(enc), "--codec", "wmm"]) == EXIT_OK
+    blob = bytearray(enc.read_bytes())
+    blob[10:18] = (2 ** 63).to_bytes(8, "little")  # the n field
+    enc.write_bytes(bytes(blob))
+    assert run(["decode", str(enc), str(tmp_path / "s.out")]) == EXIT_DATA
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_bench_wmm_model_smaller_than_table(capsys):

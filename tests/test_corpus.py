@@ -185,6 +185,23 @@ def test_container_zero_width_depths_need_sigma_one():
         container_read(bytes(blob))
 
 
+def test_container_refuses_codewords_over_64_bits():
+    long = list(range(1, 70)) + [69]
+    with pytest.raises(ValueError, match="64"):
+        container_write(long, FAMILY_WMM, b"", 3)
+    ok = container_write(list(range(1, 65)) + [64], FAMILY_WMM, b"", 0)
+    assert max(container_read(ok).depths) == 64  # 64 bits is the limit
+    w = BitWriter()
+    w.append_bytes(ok[:6] + (70).to_bytes(4, "little") + (3).to_bytes(8, "little")
+                   + bytes([69]))
+    for d in long:
+        w.write(d, 7)
+    w.pad_to_byte()
+    w.append_bytes(b"\x00" * 40)
+    with pytest.raises(ContainerError, match="64"):
+        container_read(w.getvalue())
+
+
 def test_container_truncated():
     blob = container_write([1, 1], FAMILY_WMM, b"\xff", 3)
     with pytest.raises(ContainerError):

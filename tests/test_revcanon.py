@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bits_of, huffman_cost_twoqueue, kraft_complete_multisets,
-                      revlex_char_codewords)
+from conftest import (bits_of, huffman_cost_twoqueue, huffman_lengths_heap,
+                      kraft_complete_multisets, revlex_char_codewords,
+                      tie_heavy_weight_cases)
 from ncpc.bits import BitReader, BitWriter
+from ncpc.corpus import gen_zipf
 from ncpc.errors import KraftViolation, NoSuchOccurrence, TruncatedStream
 from ncpc.revcanon import RevCanonCode, build_descent_table, huffman_lengths
 from ncpc.stream import SequenceCodec
@@ -37,6 +39,16 @@ def test_huffman_lengths_optimal_brute(rng):
              for ms in kraft_complete_multisets(sigma)))
         got = sum(f * l for f, l in zip(freqs, huffman_lengths(freqs)))
         assert got == best
+
+
+def test_huffman_lengths_identical_to_heap_random(rng):
+    for freqs in tie_heavy_weight_cases(rng, 2500):
+        assert huffman_lengths(freqs) == huffman_lengths_heap(freqs), freqs
+
+
+def test_huffman_lengths_identical_to_heap_zipf_4096():
+    freqs = gen_zipf(200_000, 4096, 1.0, 1).smoothed_freqs()
+    assert huffman_lengths(freqs) == huffman_lengths_heap(freqs)
 
 
 # -- model construction ---------------------------------------------------------
@@ -152,7 +164,6 @@ def test_decode_truncated_stream():
 
 
 def test_zipf_4096_encode_decode_match_codeword_arrays():
-    from ncpc.corpus import gen_zipf
     code = RevCanonCode(huffman_lengths(gen_zipf(100_000, 4096, 1.0, 7).smoothed_freqs()),
                         shape="huffman")
     vals, lens = (a.tolist() for a in code.codeword_arrays())

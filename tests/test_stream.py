@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from ncpc.alphabetic import build_alphabetic_code
 from ncpc.bits import BitReader
+from ncpc.codewords import revcanon_codewords
 from ncpc.errors import InvalidStream, TruncatedStream
 from ncpc.revcanon import RevCanonCode, huffman_lengths
 from ncpc.stream import SequenceCodec
@@ -70,3 +73,36 @@ def test_symbol_out_of_range():
     sc = SequenceCodec.for_code(RevCanonCode([1, 1]))
     with pytest.raises(ValueError):
         sc.encode([3])
+
+
+LONG = list(range(1, 70)) + [69]  # Kraft-complete, codewords up to 69 bits
+
+
+def test_codewords_over_64_bits_are_refused():
+    # uint64 values used to drop the high bits: [65, 65, 65] came back as [1, 64, 1]
+    code = RevCanonCode(LONG)
+    assert code.encode(65)[1] == 65  # the per-symbol model still serves them
+    with pytest.raises(ValueError, match="64 bits"):
+        revcanon_codewords(LONG)
+    with pytest.raises(ValueError, match="64 bits"):
+        SequenceCodec.for_code(code)
+    with pytest.raises(ValueError, match="64 bits"):
+        SequenceCodec(np.zeros(len(LONG), dtype=np.uint64), np.array(LONG))
+    lens = list(range(1, 65)) + [64]  # 64 bits is the limit
+    vals, _ = revcanon_codewords(lens)
+    sc = SequenceCodec(vals, np.array(lens))
+    data, nbits = sc.encode([64, 65, 1, 65])
+    assert sc.decode(data, 4, nbits).tolist() == [64, 65, 1, 65]
+
+
+def test_decode_checks_n_against_the_payload():
+    sc = SequenceCodec.for_code(RevCanonCode([1, 2, 2]))
+    t0 = time.perf_counter()
+    with pytest.raises(TruncatedStream):
+        sc.decode(b"", 5_000_000)
+    assert time.perf_counter() - t0 < 0.5  # refused before any allocation or loop
+    with pytest.raises(TruncatedStream):
+        sc.decode(b"", 2 ** 63)  # not MemoryError
+    with pytest.raises(TruncatedStream):
+        sc.decode(b"\x00", 9)  # nine codewords of at least one bit in eight bits
+    assert sc.decode(b"\x00", 8).tolist() == [1] * 8
