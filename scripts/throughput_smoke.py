@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Whole-file throughput check: encode + decode a large synthetic corpus
-with every codec through the bulk sequence paths and report wall times.
+with each code family through the bulk sequence codec and report wall times.
+
+The codec is built as `ncpc encode` builds it: the family's depths from
+the frequencies, then its codeword arrays from the depths.
 
     python scripts/throughput_smoke.py [--n 10000000] [--sigma 4096]
 """
@@ -11,11 +14,8 @@ import time
 
 import numpy as np
 
-from ncpc.alphabetic import build_alphabetic_code
-from ncpc.corpus import gen_zipf
-from ncpc.revcanon import RevCanonCode, huffman_lengths
+from ncpc.corpus import FAMILY_BY_NAME, family_codewords, family_depths, gen_zipf
 from ncpc.stream import SequenceCodec
-from ncpc.table_codec import TableCode
 
 
 def main() -> int:
@@ -28,15 +28,9 @@ def main() -> int:
 
     seq = gen_zipf(args.n, args.sigma, args.skew, args.seed)
     freqs = seq.smoothed_freqs()
-    lengths = huffman_lengths(freqs)
-    codes = {
-        "wmm": RevCanonCode(lengths),
-        "table": TableCode.from_code(RevCanonCode(lengths)),
-        "alpha": build_alphabetic_code(freqs),
-    }
     total = 0.0
-    for name, code in codes.items():
-        sc = SequenceCodec.for_code(code)
+    for name, family in FAMILY_BY_NAME.items():
+        sc = SequenceCodec(*family_codewords(family, family_depths(family, freqs)))
         t0 = time.monotonic()
         data, nbits = sc.encode(seq.symbols)
         t_enc = time.monotonic() - t0
@@ -47,7 +41,7 @@ def main() -> int:
         total += t_enc + t_dec
         print(f"{name:6s} encode {t_enc:6.2f}s  decode {t_dec:6.2f}s  "
               f"payload {nbits / seq.n:.2f} bits/sym")
-    print(f"total  {total:6.2f}s for {args.n} symbols x {len(codes)} codecs")
+    print(f"total  {total:6.2f}s for {args.n} symbols x {len(FAMILY_BY_NAME)} families")
     return 0
 
 

@@ -55,6 +55,12 @@ def canonical_codewords(depths) -> list[tuple[int, int]]:
     return out
 
 
+def alphabetic_codewords(depths) -> tuple[np.ndarray, np.ndarray]:
+    """canonical_codewords as (values, lengths) arrays, with its validation."""
+    vals = np.array([v for v, _ in canonical_codewords(depths)], dtype=np.uint64)
+    return vals, np.asarray(depths, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class DepthProfile:
     """Leaf depths of a full ordered binary tree, in alphabet order."""
@@ -280,14 +286,13 @@ class CompactAlphabeticCode:
     sigma is stored beyond the marker structures.
     """
 
-    def __init__(self, profile: DepthProfile, sigma: int, cutoff: int,
+    def __init__(self, depths: tuple[int, ...], sigma: int, cutoff: int,
                  height_cap: int, B: Bitvector, s_vals: list[int],
                  s_lens: list[int], a_char: list[int], a_len: list[int]):
         self.sigma = sigma
         self.cutoff = cutoff
         self.height_cap = height_cap
-        self.profile = profile
-        self.depths = profile.depths
+        self.depths = depths
         self.B = B
         self._s_vals = s_vals
         self._s_lens = s_lens
@@ -359,10 +364,7 @@ class CompactAlphabeticCode:
     def codeword_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, lengths) for all characters, cached."""
         if self._arrays is None:
-            cws = self.profile.codewords()
-            vals = np.array([v for v, _ in cws], dtype=np.uint64)
-            lens = np.array([l for _, l in cws], dtype=np.int64)
-            self._arrays = (vals, lens)
+            self._arrays = alphabetic_codewords(self.depths)
         return self._arrays
 
     def model_size_bits(self) -> int:
@@ -381,7 +383,7 @@ def compile_code(profile: DepthProfile, sigma: int,
     if sigma != profile.sigma:
         raise ValueError("sigma does not match the profile")
     if sigma == 1:
-        return CompactAlphabeticCode(profile, 1, 0, 0, Bitvector("1", select_sample),
+        return CompactAlphabeticCode(profile.depths, 1, 0, 0, Bitvector("1", select_sample),
                                      [0], [0], [1], [0])
     cutoff = cutoff_for(sigma)
     cap = height_cap_for(sigma)
@@ -431,21 +433,20 @@ def compile_code(profile: DepthProfile, sigma: int,
     if covered != (1 << cutoff):
         raise KraftViolation("dispatch table not fully populated")
     B = Bitvector(bbits, select_sample)
-    return CompactAlphabeticCode(profile, sigma, cutoff, cap, B,
+    return CompactAlphabeticCode(depths, sigma, cutoff, cap, B,
                                  s_vals, s_lens, a_char, a_len)
 
 
 DP_SIGMA_MAX = 320  # largest alphabet routed through the height-restricted DP
 
 
-def build_alphabetic_code(freqs, select_sample: int = 64,
-                          dp_sigma_max: int = DP_SIGMA_MAX) -> CompactAlphabeticCode:
-    """Full pipeline: optimal tree, height restriction, cutoff balancing, compile.
+def alphabetic_profile(freqs) -> DepthProfile:
+    """Depths of the alphabetic code: optimal tree, height restriction, cutoff balancing.
 
     Zero weights are smoothed to 1 so the code covers the whole alphabet.
     When the optimal tree already fits under the height cap it is kept
     (it is then optimal among capped trees as well). Otherwise the DP
-    computes the capped optimum up to dp_sigma_max characters; beyond
+    computes the capped optimum up to DP_SIGMA_MAX characters; beyond
     that, subtrees rooted at depth ceil(sqrt(lg sigma)) are completely
     balanced, which caps the height at lg sigma + sqrt(lg sigma) + 2.
     """
@@ -454,16 +455,21 @@ def build_alphabetic_code(freqs, select_sample: int = 64,
     if sigma == 0:
         raise ValueError("empty alphabet")
     if sigma == 1:
-        return compile_code(DepthProfile((0,)), 1, select_sample)
+        return DepthProfile((0,))
     profile = build_optimal_alphabetic(freqs)
     cap = height_cap_for(sigma)
     if profile.height > cap:
-        if sigma <= dp_sigma_max:
+        if sigma <= DP_SIGMA_MAX:
             profile = build_height_restricted(freqs, cap)
         else:
             shallow = math.ceil(math.sqrt(math.log2(sigma)))
             profile = balance_at_cutoff(profile, shallow)
         if profile.height > cap:
             raise AssertionError("height restriction failed")  # defensive
-    profile = balance_at_cutoff(profile, cutoff_for(sigma))
-    return compile_code(profile, sigma, select_sample)
+    return balance_at_cutoff(profile, cutoff_for(sigma))
+
+
+def build_alphabetic_code(freqs, select_sample: int = 64) -> CompactAlphabeticCode:
+    """Full pipeline: alphabetic_profile, then compile_code."""
+    profile = alphabetic_profile(freqs)
+    return compile_code(profile, profile.sigma, select_sample)

@@ -16,12 +16,14 @@ import time
 import numpy as np
 
 from .alphabetic import DepthProfile, build_alphabetic_code, compile_code
-from .bits import BitReader
-from .corpus import (FAMILY_ALPHA, FAMILY_WMM, SymbolSequence, container_read,
-                     container_write, depth_entropy, gen_zipf, ingest, stats)
-from .errors import NcpcError
+from .bits import BitReader, BitWriter
+from .corpus import (FAMILY_BY_NAME, FAMILY_WMM, SymbolSequence, container_read,
+                     container_write, depth_entropy, family_codewords,
+                     family_depths, gen_zipf, ingest, stats)
+from .errors import ContainerError, NcpcError
 from .revcanon import RevCanonCode, build_descent_table, huffman_lengths
 from .stream import SequenceCodec
+from .succinct import Bitvector, WaveletTree
 from .table_codec import TableCode
 
 EXIT_OK = 0
@@ -68,7 +70,6 @@ def build_parser() -> _Parser:
     pe.add_argument("output")
     pe.add_argument("--codec", choices=["alpha", "wmm"], required=True)
     pe.add_argument("--mode", choices=["bytes", "u32le"], default="bytes")
-    pe.add_argument("--select-sample", type=int, default=64)
 
     pd = sub.add_parser("decode", help="decompress a container")
     pd.add_argument("input")
@@ -126,24 +127,13 @@ def _sequence_for_encode(data: bytes, mode: str) -> SymbolSequence:
     raise ValueError(f"mode not supported for encode: {mode}")
 
 
-def _build_code(family: int, depths_or_freqs, select_sample: int, from_depths: bool):
-    if family == FAMILY_WMM:
-        if from_depths:
-            return RevCanonCode(depths_or_freqs, select_sample=select_sample)
-        return RevCanonCode(huffman_lengths(depths_or_freqs), select_sample=select_sample)
-    if from_depths:
-        return compile_code(DepthProfile(tuple(depths_or_freqs)),
-                            len(depths_or_freqs), select_sample)
-    return build_alphabetic_code(depths_or_freqs, select_sample=select_sample)
-
-
 def cmd_encode(args) -> int:
     data = _read_input(args.input)
     seq = _sequence_for_encode(data, args.mode)
-    family = FAMILY_WMM if args.codec == "wmm" else FAMILY_ALPHA
-    code = _build_code(family, seq.smoothed_freqs(), args.select_sample, from_depths=False)
-    payload, _ = SequenceCodec.for_code(code).encode(seq.symbols)
-    blob = container_write(code.depths, family, payload, seq.n)
+    family = FAMILY_BY_NAME[args.codec]
+    depths = family_depths(family, seq.smoothed_freqs())
+    payload, _ = SequenceCodec(*family_codewords(family, depths)).encode(seq.symbols)
+    blob = container_write(depths, family, payload, seq.n)
     with open(args.output, "wb") as f:
         f.write(blob)
     return EXIT_OK
@@ -152,9 +142,11 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     blob = _read_input(args.input)
     cont = container_read(blob)
-    code = _build_code(cont.family, cont.depths, 64, from_depths=True)
     raw = cont.payload_bytes
-    symbols = SequenceCodec.for_code(code).decode(raw, cont.n, 8 * len(raw))
+    symbols = SequenceCodec(*cont.codewords).decode(raw, cont.n, 8 * len(raw))
+    used = int(cont.codewords[1][symbols - 1].sum())  # payload bits the codewords fill
+    if len(raw) != (used + 7) // 8 or (used % 8 and raw[-1] & (0xFF >> used % 8)):
+        raise ContainerError("payload has trailing bytes or nonzero pad bits")
     if args.mode == "bytes":
         if cont.sigma > 256:
             raise ValueError("container alphabet does not fit byte output")
@@ -310,13 +302,9 @@ def cmd_bench(args) -> int:
 # -- selftest ----------------------------------------------------------------
 
 def _selftest_checks(corrupt_leaves: bool):
-    from .alphabetic import DepthProfile, compile_code
-    from .errors import ContainerError as CErr
-
     rng = np.random.default_rng(7)
 
     def bitvector_oracle():
-        from .succinct import Bitvector
         bits = (rng.random(800) < 0.4).astype(np.uint8)
         bv = Bitvector(bits, select_sample=16)
         acc = 0
@@ -331,12 +319,10 @@ def _selftest_checks(corrupt_leaves: bool):
             assert bv.select1(r) == p
 
     def bitvector_empty():
-        from .succinct import Bitvector
         bv = Bitvector("")
         assert bv.n_bits == 0 and bv.rank1(0) == 0
 
     def wavelet_oracle():
-        from .succinct import WaveletTree
         seq = (rng.integers(1, 9, 300)).tolist()
         for shape in ("balanced", "huffman"):
             wt = WaveletTree(seq, 8, shape=shape)
@@ -346,7 +332,6 @@ def _selftest_checks(corrupt_leaves: bool):
                 assert wt.rank(c, len(seq)) == seq.count(c)
 
     def bitio_roundtrip():
-        from .bits import BitReader, BitWriter
         w = BitWriter()
         vals = [(5, 3), (0, 1), (1, 1), (1023, 10), (2**40 - 3, 64)]
         for v, width in vals:
@@ -374,7 +359,6 @@ def _selftest_checks(corrupt_leaves: bool):
 
     def five_char_descent():
         code = make_code()
-        from .bits import BitWriter
         w = BitWriter()
         w.write(0b1111, 4)
         r = BitReader(w.getvalue(), 4)
@@ -434,7 +418,7 @@ def _selftest_checks(corrupt_leaves: bool):
         blob = container_write([1, 1], FAMILY_WMM, b"", 0)
         try:
             container_read(b"XXXX" + blob[4:])
-        except CErr:
+        except ContainerError:
             return
         raise AssertionError("bad magic accepted")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import KraftViolation
 
 MAX_CODEWORD_BITS = 64  # codeword values are held in uint64
 
@@ -88,17 +89,36 @@ def depth_tables(lengths) -> tuple[list[int], list[int]]:
     return leaves, nodes
 
 
+def check_kraft(lengths) -> None:
+    """Raise KraftViolation unless the lengths are the leaf depths of a full
+    binary tree, that is, satisfy the Kraft equality (so one character has
+    length 0, and more have lengths >= 1).
+
+    The per-depth counts of depth_tables are then consistent as well:
+    nodes[d] = sum over l >= d of leaves[l] * 2^(d-l), so leaves[d] <= nodes[d]
+    and nodes[L] == leaves[L].
+    """
+    lens = np.asarray(lengths, dtype=np.int64)
+    if lens.min() < 0:
+        raise KraftViolation("negative codeword length")
+    counts = np.bincount(lens).tolist()
+    L = len(counts) - 1
+    if sum(c << (L - d) for d, c in enumerate(counts)) != 1 << L:
+        raise KraftViolation("lengths do not satisfy the Kraft equality")
+
+
 def revcanon_codewords(lengths) -> tuple[np.ndarray, np.ndarray]:
     """(values, lengths) of the reverse-canonical code with these lengths.
 
     Character i gets the leaf whose rank at depth lengths[i] is its rank
     among the characters of that length; the ascent to the root reads
     one codeword bit per level, a right child being one whose rank
-    exceeds nodes[d]/2. The lengths must satisfy the Kraft equality and
-    be at most MAX_CODEWORD_BITS, since the values are uint64.
+    exceeds nodes[d]/2. Raises KraftViolation unless check_kraft passes,
+    and ValueError above MAX_CODEWORD_BITS, since the values are uint64.
     """
     lens = np.asarray(lengths, dtype=np.int64)
     sigma = lens.size
+    check_kraft(lens)
     if lens.max() > MAX_CODEWORD_BITS:
         raise ValueError(f"codewords longer than {MAX_CODEWORD_BITS} bits")
     if sigma == 1:

@@ -12,8 +12,9 @@ Container layout (little-endian integers, MSB-first bit fields):
           to a byte boundary
   payload encoded symbols, MSB-first, zero-padded to a byte boundary
 
-The model is the depth array alone; decoders rebuild all derived
-structures. Decoding stops after exactly n symbols.
+The model is the depth array alone: reading a container computes the
+family's codeword arrays from it, which is also its validation. Decoding
+stops after exactly n symbols.
 """
 
 from __future__ import annotations
@@ -23,16 +24,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alphabetic import build_alphabetic_code, canonical_codewords
+from .alphabetic import alphabetic_codewords, alphabetic_profile
 from .bits import BitReader, BitWriter
-from .codewords import MAX_CODEWORD_BITS
+from .codewords import MAX_CODEWORD_BITS, huffman_lengths, revcanon_codewords
 from .errors import ContainerError, KraftViolation
-from .revcanon import huffman_lengths
 
 MAGIC = b"NCP1"
 VERSION = 1
 FAMILY_ALPHA = 0
 FAMILY_WMM = 1
+FAMILY_BY_NAME = {"alpha": FAMILY_ALPHA, "wmm": FAMILY_WMM}
 
 _HEADER_LEN = 4 + 1 + 1 + 4 + 8 + 1
 
@@ -70,7 +71,7 @@ def ingest(data: bytes, mode: str) -> SymbolSequence:
     """Map raw input to a dense symbol sequence.
 
     bytes / u32le: ids follow value order (present values compacted to
-    ranks 1..sigma). word-tokens: whitespace-separated tokens, ids in
+    ranks 1..sigma). tokens: whitespace-separated tokens, ids in
     first-occurrence order.
     """
     if mode == "bytes":
@@ -83,7 +84,7 @@ def ingest(data: bytes, mode: str) -> SymbolSequence:
         if len(data) % 4:
             raise ValueError("truncated u32 record")
         vals = np.frombuffer(data, dtype="<u4")
-    elif mode in ("tokens", "word-tokens"):
+    elif mode == "tokens":
         toks = data.split()
         if not toks:
             raise ValueError("empty input")
@@ -131,14 +132,22 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def code_depths_for(seq: SymbolSequence, family: str | int) -> list[int]:
-    """Depth sequence of the code a family builds for this corpus."""
-    freqs = seq.smoothed_freqs()
-    if family in ("wmm", FAMILY_WMM, "revcanon"):
+def family_depths(family: int, freqs) -> list[int]:
+    """Depth array of the code a family builds for these frequencies."""
+    if family == FAMILY_WMM:
         return huffman_lengths(freqs)
-    if family in ("alpha", FAMILY_ALPHA, "alphabetic"):
-        return list(build_alphabetic_code(freqs).depths)
+    if family == FAMILY_ALPHA:
+        return list(alphabetic_profile(freqs).depths)
     raise ValueError(f"unknown code family: {family}")
+
+
+def family_codewords(family: int, depths) -> tuple[np.ndarray, np.ndarray]:
+    """(values, lengths) of a family's code; KraftViolation if it has no such depths."""
+    if family == FAMILY_WMM:
+        return revcanon_codewords(depths)
+    if family == FAMILY_ALPHA:
+        return alphabetic_codewords(depths)
+    raise ContainerError(f"unknown family byte: {family}")
 
 
 def depth_entropy(depths) -> float:
@@ -146,8 +155,10 @@ def depth_entropy(depths) -> float:
     return _entropy(np.bincount(np.asarray(depths, dtype=np.int64)))
 
 
-def stats(seq: SymbolSequence, family: str | int = "wmm") -> CorpusStats:
-    depths = code_depths_for(seq, family)
+def stats(seq: SymbolSequence, family: str = "wmm") -> CorpusStats:
+    if family not in FAMILY_BY_NAME:
+        raise ValueError(f"unknown code family: {family}")
+    depths = family_depths(FAMILY_BY_NAME[family], seq.smoothed_freqs())
     return CorpusStats(
         n=seq.n,
         sigma=seq.sigma,
@@ -162,23 +173,8 @@ class Container(NamedTuple):
     sigma: int
     n: int
     depths: list[int]
-    payload: BitReader
+    codewords: tuple[np.ndarray, np.ndarray]  # family_codewords(family, depths)
     payload_bytes: bytes
-
-
-def _validate_model(depths: list[int], family: int) -> None:
-    sigma = len(depths)
-    L = max(depths)
-    if family == FAMILY_WMM:
-        if sigma == 1:
-            if depths != [0]:
-                raise KraftViolation("single character must have an empty codeword")
-        elif sum(1 << (L - d) for d in depths) != (1 << L) or min(depths) < 1:
-            raise KraftViolation("lengths do not satisfy the Kraft equality")
-    elif family == FAMILY_ALPHA:
-        canonical_codewords(depths)
-    else:
-        raise ContainerError(f"unknown family byte: {family}")
 
 
 def container_write(depths, family: int, payload: bytes, n: int) -> bytes:
@@ -188,11 +184,11 @@ def container_write(depths, family: int, payload: bytes, n: int) -> bytes:
         raise ValueError("empty model")
     if n < 0:
         raise ValueError("n must be >= 0")
-    _validate_model(depths, family)
     sigma = len(depths)
     L = max(depths)
     if L > MAX_CODEWORD_BITS:
         raise ValueError(f"max codeword length exceeds {MAX_CODEWORD_BITS}")
+    family_codewords(family, depths)  # validates the depths for the family
     if sigma > 0xFFFFFFFF:
         raise ValueError("sigma exceeds 32 bits")
 
@@ -211,7 +207,7 @@ def container_write(depths, family: int, payload: bytes, n: int) -> bytes:
 
 
 def container_read(data: bytes) -> Container:
-    """Parse and validate container bytes; the payload is returned as a reader."""
+    """Parse and validate container bytes, computing the code's codeword arrays."""
     if len(data) < _HEADER_LEN:
         raise ContainerError("container too short")
     if data[:4] != MAGIC:
@@ -238,8 +234,7 @@ def container_read(data: bytes) -> Container:
     if max(depths) != L:
         raise ContainerError("stored L does not match the depth array")
     try:
-        _validate_model(depths, family)
+        codewords = family_codewords(family, depths)
     except KraftViolation as e:
         raise ContainerError(str(e)) from None
-    payload_bytes = data[_HEADER_LEN + depth_bytes:]
-    return Container(family, sigma, n, depths, BitReader(payload_bytes), payload_bytes)
+    return Container(family, sigma, n, depths, codewords, data[_HEADER_LEN + depth_bytes:])

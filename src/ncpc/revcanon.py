@@ -20,9 +20,8 @@ import numpy as np
 
 from .bits import BitReader
 from .codewords import huffman_lengths  # noqa: F401 (part of this module's API)
-from .codewords import depth_tables, revcanon_codewords
-from .errors import (InvalidCodeState, KraftViolation, TruncatedStream,
-                     Underflow)
+from .codewords import check_kraft, depth_tables, revcanon_codewords
+from .errors import InvalidCodeState, TruncatedStream, Underflow
 from .succinct import WaveletTree
 
 
@@ -35,28 +34,14 @@ class RevCanonCode:
         sigma = len(lengths)
         if sigma == 0:
             raise ValueError("empty alphabet")
+        check_kraft(lengths)
         L = max(lengths)
-        if sigma == 1:
-            if lengths != [0]:
-                raise KraftViolation("single character must have an empty codeword")
-        elif min(lengths) < 1:
-            raise KraftViolation("codeword lengths must be >= 1")
-        if sum(1 << (L - l) for l in lengths) != (1 << L):
-            raise KraftViolation("lengths do not satisfy the Kraft equality")
 
         self.sigma = sigma
         self.L = L
         self.depths = tuple(lengths)
-
-        leaves, nodes = depth_tables(lengths)
-        if nodes[L] != leaves[L]:
-            raise KraftViolation("leaf counts inconsistent with a full tree")
-        for d in range(L + 1):
-            if leaves[d] > nodes[d]:
-                raise KraftViolation("more leaves than nodes at some depth")
-        self.leaves = leaves
-        self.nodes = nodes
-        self._half = [nodes[d] // 2 for d in range(L + 1)]
+        self.leaves, self.nodes = depth_tables(lengths)
+        self._half = [m // 2 for m in self.nodes]
 
         self.D = (WaveletTree(lengths, L, shape=shape, select_sample=select_sample)
                   if sigma > 1 else None)

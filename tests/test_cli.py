@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncpc.cli import BENCH_COLUMNS, EXIT_DATA, EXIT_OK, EXIT_SELFTEST, EXIT_USAGE, main
+from ncpc.stream import SequenceCodec
 
 
 def run(argv):
@@ -91,6 +92,58 @@ def test_decode_truncated_container(tmp_path, rng, capsys):
     rc = run(["decode", str(cut), str(tmp_path / "cut.out")])
     assert rc == EXIT_DATA
     assert "truncated" in capsys.readouterr().err.lower()
+
+
+def test_decode_alphabetic_depths_not_cutoff_balanced(tmp_path):
+    # [1, 2, 3, 3] is order-realizable but not balanced below the cutoff:
+    # decode needs only the codeword arrays, not the compiled B/S/A model
+    from ncpc.alphabetic import alphabetic_codewords
+    from ncpc.corpus import FAMILY_ALPHA, container_write
+    syms = [1, 2, 3, 4, 4, 1]
+    payload, _ = SequenceCodec(*alphabetic_codewords([1, 2, 3, 3])).encode(syms)
+    enc = tmp_path / "a.ncp"
+    enc.write_bytes(container_write([1, 2, 3, 3], FAMILY_ALPHA, payload, len(syms)))
+    assert run(["decode", str(enc), str(tmp_path / "a.out")]) == EXIT_OK
+    assert (tmp_path / "a.out").read_bytes() == bytes(s - 1 for s in syms)
+
+
+def test_file_commands_build_no_bitvector(tmp_path, monkeypatch, rng):
+    from ncpc.succinct import Bitvector
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file command built a Bitvector")
+
+    monkeypatch.setattr(Bitvector, "__init__", refuse)
+    raw = rng.zipf(1.3, 5000).astype(np.uint8).tobytes()
+    src = tmp_path / "src.bin"
+    src.write_bytes(raw)
+    for codec in ("wmm", "alpha"):
+        enc = tmp_path / f"{codec}.ncp"
+        dec = tmp_path / f"{codec}.out"
+        assert run(["encode", str(src), str(enc), "--codec", codec]) == EXIT_OK
+        assert run(["decode", str(enc), str(dec)]) == EXIT_OK
+        assert dec.read_bytes() == raw
+        assert run(["analyze", str(src), "--family", codec]) == EXIT_OK
+
+
+def test_decode_refuses_noncanonical_payload(tmp_path, capsys):
+    from ncpc.alphabetic import alphabetic_codewords
+    from ncpc.corpus import FAMILY_ALPHA, container_write
+    src = tmp_path / "s.bin"
+    src.write_bytes(b"abracadabra")
+    enc = tmp_path / "s.ncp"
+    assert run(["encode", str(src), str(enc), "--codec", "wmm"]) == EXIT_OK
+    trailing = tmp_path / "trailing.ncp"
+    trailing.write_bytes(enc.read_bytes() + b"\x00")
+    # 13 payload bits, so the last byte has three pad bits
+    payload, nbits = SequenceCodec(*alphabetic_codewords([1, 2, 3, 3])).encode([1, 2, 3, 4, 4, 1])
+    assert nbits == 13
+    padded = tmp_path / "padded.ncp"
+    padded.write_bytes(container_write([1, 2, 3, 3], FAMILY_ALPHA,
+                                       payload[:-1] + bytes([payload[-1] | 1]), 6))
+    for path in (trailing, padded):
+        assert run(["decode", str(path), str(tmp_path / "o")]) == EXIT_DATA
+        assert "pad bits" in capsys.readouterr().err
 
 
 def test_decode_bad_magic(tmp_path, capsys):

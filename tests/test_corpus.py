@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ncpc.bits import BitWriter
+from ncpc.bits import BitReader, BitWriter
 from ncpc.corpus import (FAMILY_ALPHA, FAMILY_WMM, container_read, container_write,
                          gen_zipf, ingest, stats)
 from ncpc.errors import ContainerError
@@ -136,7 +136,8 @@ def test_container_roundtrip_five_char():
     assert cont.sigma == 5
     assert cont.n == 1
     assert cont.depths == [1, 2, 3, 4, 4]
-    assert cont.payload.read(4) == 0b1110
+    assert BitReader(cont.payload_bytes).read(4) == 0b1110
+    assert [a.tolist() for a in cont.codewords] == [a.tolist() for a in code.codeword_arrays()]
 
 
 def test_container_bad_magic():
