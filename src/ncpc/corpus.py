@@ -9,7 +9,7 @@ Container layout (little-endian integers, MSB-first bit fields):
   n       8 bytes  u64le
   L       1 byte   max codeword length, at most 64
   depths  sigma fields of ceil(lg(L+1)) bits each, MSB-first, zero-padded
-          to a byte boundary
+          to a byte boundary (nonzero pad bits are refused)
   payload encoded symbols, MSB-first, zero-padded to a byte boundary
 
 The model is the depth array alone: reading a container computes the
@@ -25,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .alphabetic import alphabetic_codewords, alphabetic_profile
-from .bits import BitReader, BitWriter
 from .codewords import MAX_CODEWORD_BITS, huffman_lengths, revcanon_codewords
 from .errors import ContainerError, KraftViolation
 
@@ -192,18 +191,11 @@ def container_write(depths, family: int, payload: bytes, n: int) -> bytes:
     if sigma > 0xFFFFFFFF:
         raise ValueError("sigma exceeds 32 bits")
 
-    w = BitWriter()
-    w.append_bytes(MAGIC)
-    w.append_bytes(bytes([VERSION, family]))
-    w.append_bytes(sigma.to_bytes(4, "little"))
-    w.append_bytes(n.to_bytes(8, "little"))
-    w.append_bytes(bytes([L]))
     width = L.bit_length()  # ceil(lg(L+1))
-    for d in depths:
-        w.write(d, width)
-    w.pad_to_byte()
-    w.append_bytes(payload)
-    return w.getvalue()
+    # the low `width` bits of each depth, MSB-first, packed and zero-padded
+    fields = np.unpackbits(np.array(depths, dtype=np.uint8)[:, None], axis=1)[:, 8 - width:]
+    return b"".join((MAGIC, bytes([VERSION, family]), sigma.to_bytes(4, "little"),
+                     n.to_bytes(8, "little"), bytes([L]), np.packbits(fields).tobytes(), payload))
 
 
 def container_read(data: bytes) -> Container:
@@ -229,8 +221,11 @@ def container_read(data: bytes) -> Container:
     depth_bytes = (sigma * width + 7) // 8
     if len(data) < _HEADER_LEN + depth_bytes:
         raise ContainerError("container too short for the depth array")
-    r = BitReader(data[_HEADER_LEN:_HEADER_LEN + depth_bytes])
-    depths = [r.read(width) for _ in range(sigma)]
+    bits = np.unpackbits(np.frombuffer(data, np.uint8, depth_bytes, _HEADER_LEN))
+    if bits[sigma * width:].any():
+        raise ContainerError("nonzero pad bits after the depth array")
+    fields = bits[:sigma * width].reshape(sigma, width)
+    depths = (fields @ (1 << np.arange(width - 1, -1, -1))).tolist()
     if max(depths) != L:
         raise ContainerError("stored L does not match the depth array")
     try:

@@ -1,11 +1,14 @@
 """Rank/select bitvectors and a wavelet matrix over small alphabets.
 
-The bitvector is plain (uncompressed) with a two-level rank directory:
-one absolute count per 512-bit superblock and one relative count per
-64-bit block, i.e. 64 + 8*16 bits of directory per 512 bits of data
-(37.5% overhead at the accounting level). select1 is guided by sampled
-positions of every s-th 1-bit; the sampling rate trades speed for space
-and never changes results.
+The bitvector is plain (uncompressed) with a two-level rank directory,
+accounted as one absolute count per 512-bit superblock and one relative
+count per 64-bit block, i.e. 64 + 8*16 bits of directory per 512 bits of
+data (37.5% overhead). It is stored pre-added: the absolute number of
+ones before every 64-bit word, and the zeros derived from it, each an O(1)
+function of two accounted entries. So rank reads one entry, and each
+select is one bisect over one list plus a select in the word found.
+select1 bisects between sampled positions of every s-th 1-bit; the
+sampling rate trades speed for space and never changes results.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from .codewords import huffman_lengths, revcanon_codewords
 from .errors import NoSuchOccurrence
 
+_WORD = (1 << 64) - 1
 _SEL8 = [[i for i in range(8) if b >> i & 1] for b in range(256)]
 
 
@@ -35,8 +39,8 @@ def _as_bit_array(bits) -> np.ndarray:
 class Bitvector:
     """Static bit array with rank/select. Positions are 1-based."""
 
-    __slots__ = ("n_bits", "ones", "select_sample", "_words", "_super",
-                 "_rel", "_zsuper", "_zrel", "_samples")
+    __slots__ = ("n_bits", "ones", "select_sample", "_words", "_ranks",
+                 "_zranks", "_samples")
 
     def __init__(self, bits, select_sample: int = 64) -> None:
         if not isinstance(select_sample, int) or select_sample <= 0:
@@ -56,17 +60,12 @@ class Bitvector:
         pop = np.bitwise_count(words).astype(np.int64)
         cum = np.concatenate(([0], np.cumsum(pop)))  # ones before word j
         self.ones = int(cum[-1])
-
-        sup = cum[0::8]                              # ones before superblock
-        rel = cum - sup[np.arange(nwords + 1) // 8]  # ones before word j within its superblock
+        # ones and zeros before word j, j = 0..nwords. The zeros count the
+        # padding after the last bit only at j = nwords; it follows every
+        # real 0-bit, so the r-th zero is still a real one.
         self._words = words.tolist()
-        self._super = sup.tolist()
-        self._rel = rel.tolist()
-        # zeros before each superblock and before each word within its
-        # superblock: O(1) functions of one directory entry, kept as lists
-        # so select0 can bisect them
-        self._zsuper = ((np.arange(sup.size) << 9) - sup).tolist()
-        self._zrel = (((np.arange(nwords + 1) & 7) << 6) - rel).tolist()
+        self._ranks = cum.tolist()
+        self._zranks = ((np.arange(nwords + 1) << 6) - cum).tolist()
 
         ones_pos = np.flatnonzero(arr)               # 0-based positions of 1s
         self._samples = ones_pos[0::select_sample].tolist()
@@ -83,10 +82,9 @@ class Bitvector:
         if not 0 <= i <= self.n_bits:
             raise IndexError(f"rank position out of range: {i}")
         j = i >> 6
-        rem = i & 63
-        c = self._super[j >> 3] + self._rel[j]
-        if rem:
-            c += (self._words[j] & ((1 << rem) - 1)).bit_count()
+        c = self._ranks[j]
+        if i & 63:
+            c += (self._words[j] & ((1 << (i & 63)) - 1)).bit_count()
         return c
 
     def rank0(self, i: int) -> int:
@@ -96,35 +94,27 @@ class Bitvector:
         """1-based position of the r-th 1-bit."""
         if not 1 <= r <= self.ones:
             raise ValueError(f"select1 rank out of range: {r}")
+        # the sampled 1-bits before and after the r-th bound its word
         samples = self._samples
         k = (r - 1) // self.select_sample
-        lo = samples[k] >> 9
-        hi = ((samples[k + 1] >> 9) + 1) if k + 1 < len(samples) else len(self._super)
-        sb = bisect_left(self._super, r, lo, hi) - 1
-        need = r - self._super[sb]
-        j = sb << 3
-        j = bisect_left(self._rel, need, j, min(j + 8, len(self._words))) - 1
-        return (j << 6) + _select_in_word(self._words[j], need - self._rel[j]) + 1
+        hi = (samples[k + 1] >> 6) + 1 if k + 1 < len(samples) else len(self._words)
+        j = bisect_left(self._ranks, r, samples[k] >> 6, hi) - 1
+        return (j << 6) + _select_in_word(self._words[j], r - self._ranks[j]) + 1
 
     def select0(self, r: int) -> int:
         """1-based position of the r-th 0-bit."""
         if not 1 <= r <= self.n_bits - self.ones:
             raise ValueError(f"select0 rank out of range: {r}")
-        # the zero counts count the padding after the last bit as zeros; it
-        # follows every real 0-bit, so the r-th zero is still a real one
-        sb = bisect_left(self._zsuper, r) - 1
-        need = r - self._zsuper[sb]
-        j = sb << 3
-        j = bisect_left(self._zrel, need, j, min(j + 8, len(self._words))) - 1
-        word = ~self._words[j] & 0xFFFFFFFFFFFFFFFF
-        return (j << 6) + _select_in_word(word, need - self._zrel[j]) + 1
+        j = bisect_left(self._zranks, r) - 1
+        word = ~self._words[j] & _WORD
+        return (j << 6) + _select_in_word(word, r - self._zranks[j]) + 1
 
     # -- accounting ------------------------------------------------------
 
     def directory_bits(self) -> int:
         """Accounted rank directory size: 64 bits per superblock, 16 per block."""
         nwords = len(self._words)
-        return 64 * len(self._super) + 16 * nwords
+        return 64 * (nwords // 8 + 1) + 16 * nwords
 
     def select_sample_bits(self) -> int:
         return 64 * len(self._samples)
@@ -246,8 +236,7 @@ class WaveletTree:
         v = 0               # codeword bits read so far
         for bv, zeros, _, ended, leaf in self._levels:
             word = bv._words[p >> 6]
-            ones = (bv._super[p >> 9] + bv._rel[p >> 6]      # bv.rank1(p), inlined
-                    + (word & ((1 << (p & 63)) - 1)).bit_count())
+            ones = bv._ranks[p >> 6] + (word & ((1 << (p & 63)) - 1)).bit_count()  # bv.rank1(p)
             if (word >> (p & 63)) & 1:
                 v = (v << 1) | 1
                 q = zeros + ones
@@ -291,13 +280,19 @@ class WaveletTree:
         if code is None or r > code[3] - code[2]:
             raise NoSuchOccurrence(f"no occurrence {r} of symbol {c}")
         val, ln, start, _ = code
-        q = start + r - 1
-        for k in range(ln - 1, -1, -1):
-            bv, zeros, dropped, _, _ = self._levels[k]
-            if (val >> (ln - 1 - k)) & 1:
-                q = bv.select1(q - zeros + 1) - 1 + dropped
-            else:
-                q = bv.select0(q + 1) - 1 + dropped
+        q = start + r - 1   # 0-based position among the entries at level ln
+        # up from the level where the codeword ends: bv.select1/select0, inlined
+        for bv, zeros, dropped, _, _ in reversed(self._levels[:ln]):
+            if val & 1:     # the (q - zeros + 1)-th 1-bit
+                k = q - zeros + 1
+                ranks = bv._ranks
+                j = bisect_left(ranks, k) - 1
+                q = (j << 6) + _select_in_word(bv._words[j], k - ranks[j]) + dropped
+            else:           # the (q + 1)-th 0-bit
+                ranks = bv._zranks
+                j = bisect_left(ranks, q + 1) - 1
+                q = (j << 6) + _select_in_word(~bv._words[j] & _WORD, q + 1 - ranks[j]) + dropped
+            val >>= 1
         return q + 1
 
     def size_bits(self) -> int:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncpc.succinct import Bitvector
+from ncpc.succinct import Bitvector, _select_in_word
 
 
 def scan_check(bv: Bitvector, bits: list[int]) -> None:
@@ -105,3 +105,31 @@ def test_select_sample_must_be_positive():
 def test_directory_overhead_near_37_percent():
     bv = Bitvector("1" * 51200)
     assert bv.directory_bits() / bv.n_bits == pytest.approx(0.375, rel=0.02)
+
+
+@pytest.mark.parametrize("n", [0, 1, 64, 511, 512, 513, 4097, 65537])
+def test_accounting_is_the_two_level_formula(n, rng):
+    """64 bits per 512-bit superblock (one past the end included) plus 16 per
+    64-bit block, and 64 per select sample, however the directory is stored."""
+    bits = (rng.random(n) < 0.5).astype(np.uint8)
+    bv = Bitvector(bits, select_sample=16)
+    nwords = -(-n // 64)
+    directory = 64 * (nwords // 8 + 1) + 16 * nwords
+    assert bv.directory_bits() == directory
+    assert bv.size_bits() == n + directory + 64 * -(-int(bits.sum()) // 16)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 511, 512, 513, 4095, 4096, 4097])
+def test_word_and_superblock_boundaries_against_scan_oracle(n, rng):
+    for bits in (np.zeros(n, dtype=np.uint8), (rng.random(n) < 0.5).astype(np.uint8),
+                 np.ones(n, dtype=np.uint8)):
+        for s in (1, 16, 64, 1000):
+            scan_check(Bitvector(bits, select_sample=s), bits.tolist())
+
+
+def test_select_in_word_against_scan(rng):
+    words = [2**64 - 1, 1, 1 << 63] + [int(w) for w in rng.integers(0, 2**64, 200, dtype=np.uint64)]
+    for w in words:
+        ones = [p for p in range(64) if w >> p & 1]
+        for k, p in enumerate(ones, 1):
+            assert _select_in_word(w, k) == p

@@ -146,6 +146,20 @@ def test_decode_refuses_noncanonical_payload(tmp_path, capsys):
         assert "pad bits" in capsys.readouterr().err
 
 
+def test_decode_refuses_depth_array_pad_bits(tmp_path, capsys):
+    from ncpc.corpus import FAMILY_WMM, container_read, container_write
+    from ncpc.errors import ContainerError
+    blob = bytearray(container_write([1, 2, 2], FAMILY_WMM, b"\x00", 1))
+    assert container_read(bytes(blob)).depths == [1, 2, 2]
+    blob[19] |= 0b11  # three 2-bit fields leave two pad bits in the byte
+    with pytest.raises(ContainerError, match="pad bits"):
+        container_read(bytes(blob))
+    bad = tmp_path / "pad.ncp"
+    bad.write_bytes(bytes(blob))
+    assert run(["decode", str(bad), str(tmp_path / "o")]) == EXIT_DATA
+    assert "pad bits" in capsys.readouterr().err
+
+
 def test_decode_bad_magic(tmp_path, capsys):
     bad = tmp_path / "bad.ncp"
     bad.write_bytes(b"NOPE" + bytes(40))

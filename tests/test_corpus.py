@@ -224,6 +224,11 @@ def test_container_roundtrip_random_models(rng):
         payload = rng.bytes(int(rng.integers(0, 60)))
         n = int(rng.integers(0, 1000))
         blob = container_write(depths, family, payload, n)
+        w = BitWriter()  # one write per field, the reference for the packed depth array
+        for d in depths:
+            w.write(d, max(depths).bit_length())
+        w.pad_to_byte()
+        assert blob[19:] == w.getvalue() + payload
         cont = container_read(blob)
         assert cont.family == family
         assert cont.sigma == sigma

@@ -381,3 +381,12 @@ def test_select_missing_occurrence_error():
     code = RevCanonCode(FIVE)
     with pytest.raises(NoSuchOccurrence):
         code.D.select(4, 3)  # only two codewords of length 4
+
+
+def test_model_bits_pinned_on_zipf_4096():
+    """The accounted model sizes on the benchmark's point corpus (seed 1) are
+    fixed numbers: a change to how the directories are stored must not move them."""
+    from ncpc.alphabetic import build_alphabetic_code
+    freqs = gen_zipf(200000, 4096, 1.0, seed=1).smoothed_freqs()
+    assert RevCanonCode(huffman_lengths(freqs), shape="huffman").model_size_bits() == 24429
+    assert build_alphabetic_code(freqs).model_size_bits() == 22667

@@ -131,3 +131,26 @@ def test_empty_sequence():
             wt.select(2, 1)
         with pytest.raises(IndexError):
             wt.access(1)
+
+
+def test_deep_huffman_shape_against_scan_oracle(rng):
+    """Fibonacci counts give a matrix 11 levels high whose upper levels span
+    many superblocks and whose deepest level still spans two words."""
+    counts = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
+    seq = np.repeat(np.arange(1, 13), [40 * c for c in counts])
+    rng.shuffle(seq)
+    seq = seq.tolist()
+    wt = WaveletTree(seq, 12, "huffman", select_sample=16)
+    assert wt.height == 11
+    sizes = [bv.n_bits for bv, *_ in wt._levels]
+    assert sizes[0] > 8 * 512 and sizes[-1] > 64
+    seen = [0] * 13
+    for i, c in enumerate(seq, 1):
+        seen[c] += 1
+        assert wt.access_rank(i) == (c, seen[c])
+        assert wt.select(c, seen[c]) == i
+    arr = np.array(seq)
+    for c in range(1, 13):
+        before = np.concatenate(([0], np.cumsum(arr == c)))
+        for i in range(0, len(seq) + 1, 7):
+            assert wt.rank(c, i) == before[i]
