@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark sweep over synthetic corpora.
 
-Builds zipf corpora across alphabet sizes and skews, runs every codec at
-the standard select-sampling values, and writes one combined CSV. This is
-the desk-scale version of the size-versus-time comparison; edit the grids
-below to taste.
+Builds zipf corpora across alphabet sizes and skews, runs every codec
+once per standard select-sampling value, and writes one combined CSV.
+The sampling value applies to alpha's B bitvector only; the wmm and
+table models take none, are built once per corpus, and their rows repeat
+the timing for each value. This is the desk-scale version of the
+size-versus-time comparison; edit the grids below to taste.
 
     python scripts/bench_sweep.py out.csv [--n 1000000] [--quick]
 """

@@ -81,7 +81,9 @@ def build_parser() -> _Parser:
     pb.add_argument("--mode", choices=["bytes", "u32le", "tokens"], default="bytes")
     pb.add_argument("--zipf", metavar="N,SIGMA,S", help="synthetic corpus instead of a file")
     pb.add_argument("--codecs", default="wmm,table,alpha")
-    pb.add_argument("--select-samples", default="16,32,64,128")
+    pb.add_argument("--select-samples", default="16,32,64,128",
+                    help="select sampling rates of alpha's B bitvector; wmm and "
+                         "table rows repeat for each")
     pb.add_argument("--csv", metavar="PATH", help="write CSV here instead of stdout")
     pb.add_argument("--time-symbols", type=int, default=20000,
                     help="symbols per timing repetition")
@@ -210,7 +212,9 @@ def _bench_corpus(args) -> tuple[str, SymbolSequence]:
 
 def bench_rows(seq: SymbolSequence, codecs: list[str], samples: list[int],
                dataset: str, time_symbols: int, reps: int) -> list[dict]:
-    """One row per codec and select sample. `build_s` is the seconds from the
+    """One row per codec and select sample. The sample sets alpha's `B`
+    select sampling only: the wmm and table models are built once and
+    timed again in each sample's rows. `build_s` is the seconds from the
     frequencies to the codec's model: for wmm and table it includes the
     shared `huffman_lengths`, and the table's excludes the wavelet matrix."""
     freqs = seq.smoothed_freqs()
@@ -219,21 +223,20 @@ def bench_rows(seq: SymbolSequence, codecs: list[str], samples: list[int],
     huffman_s = time.perf_counter() - t0
     sample = seq.symbols[:min(seq.n, time_symbols)].tolist()
     count = len(sample)
+    codes = {}
+    build_s = {}
+
+    def timed(name, build, since_s=0.0):
+        t0 = time.perf_counter()
+        codes[name] = build()
+        build_s[name] = since_s + time.perf_counter() - t0
+
+    if "wmm" in codecs or "table" in codecs:
+        timed("wmm", lambda: RevCanonCode(lengths), huffman_s)
+    if "table" in codecs:
+        timed("table", lambda: TableCode.from_code(codes["wmm"]), huffman_s)
     rows = []
     for ssamp in samples:
-        codes = {}
-        build_s = {}
-
-        def timed(name, build, since_s=0.0):
-            t0 = time.perf_counter()
-            codes[name] = build()
-            build_s[name] = since_s + time.perf_counter() - t0
-
-        if "wmm" in codecs or "table" in codecs:
-            timed("wmm", lambda: RevCanonCode(lengths, shape="huffman", select_sample=ssamp),
-                  huffman_s)
-        if "table" in codecs:
-            timed("table", lambda: TableCode.from_code(codes["wmm"]), huffman_s)
         if "alpha" in codecs:
             timed("alpha", lambda: build_alphabetic_code(freqs, select_sample=ssamp))
         for name in codecs:
@@ -324,8 +327,8 @@ def _selftest_checks(corrupt_leaves: bool):
 
     def wavelet_oracle():
         seq = (rng.integers(1, 9, 300)).tolist()
-        for shape in ("balanced", "huffman"):
-            wt = WaveletTree(seq, 8, shape=shape)
+        for weights in (None, [2**64 >> c for c in range(1, 9)]):
+            wt = WaveletTree(seq, 8, weights)
             for i in range(1, len(seq) + 1):
                 assert wt.access(i) == seq[i - 1]
             for c in range(1, 9):

@@ -21,15 +21,25 @@ import numpy as np
 from .bits import BitReader
 from .codewords import huffman_lengths  # noqa: F401 (part of this module's API)
 from .codewords import check_kraft, depth_tables, revcanon_codewords
-from .errors import InvalidCodeState, TruncatedStream, Underflow
+from .errors import InvalidCodeState, TruncatedStream
 from .succinct import WaveletTree
 
 
 class RevCanonCode:
-    """Code model: depth sequence D plus leaves/nodes tables."""
+    """Code model: depth sequence D plus leaves/nodes tables.
 
-    def __init__(self, lengths, shape: str = "balanced",
-                 select_sample: int = 64) -> None:
+    D is stored in a wavelet matrix Huffman-shaped by an equal mix of two
+    distributions over the depths: how many characters have each depth,
+    and how much of the code's probability they hold. Depth d, held by
+    n_d characters, weighs n_d * (2^L + sigma * 2^(L-d)): both halves sum
+    to sigma * 2^L by the Kraft equality, so the mix has no free constant,
+    and the weights are a function of D alone. shape="huffman" names that
+    shape, the only one.
+    """
+
+    def __init__(self, lengths, shape: str = "huffman") -> None:
+        if shape != "huffman":
+            raise ValueError(f"unknown shape: {shape}")
         lengths = [int(x) for x in lengths]
         sigma = len(lengths)
         if sigma == 0:
@@ -43,8 +53,10 @@ class RevCanonCode:
         self.leaves, self.nodes = depth_tables(lengths)
         self._half = [m // 2 for m in self.nodes]
 
-        self.D = (WaveletTree(lengths, L, shape=shape, select_sample=select_sample)
-                  if sigma > 1 else None)
+        # Python ints: with long codewords the weights outgrow int64
+        weights = [n * ((1 << L) + (sigma << (L - d)))
+                   for d, n in enumerate(self.leaves[1:], 1)]
+        self.D = WaveletTree(lengths, L, weights) if sigma > 1 else None
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- rank arithmetic ---------------------------------------------------
@@ -130,35 +142,46 @@ class RevCanonCode:
             reader.skip(width)
 
     def decode_fast(self, table: "DescentTable", reader: BitReader) -> tuple[int, int]:
-        """decode() accelerated by t-bit chunk jumps; identical output."""
+        """decode() accelerated by t-bit chunk jumps; identical output.
+
+        Peeks t bits per step. A rank above the chunk's threshold jumps
+        over all t; otherwise the walk steps over the same peeked bits one
+        at a time, then skips those it used.
+        """
         if self.sigma == 1:
             return (1, 0)
         t = table.t
+        thr_max = table.thr_max
+        delta = table.delta
         leaves = self.leaves
         half = self._half
+        L = self.L
         d = 0
         r = 1
         while True:
             chunk = reader.peek(t)
-            if d < self.L and r > int(table.thr_max[d][chunk]):
+            rem = reader.remaining
+            if d < L and r > thr_max[d][chunk]:
                 # no leaf reachable within the next t bits for this rank
-                try:
-                    reader.skip(t)
-                except Underflow:
-                    raise TruncatedStream("truncated stream") from None
-                r += int(table.delta[d][chunk])
+                if t > rem:
+                    raise TruncatedStream("truncated stream")
+                reader.skip(t)
+                r += delta[d][chunk]
                 d += t
                 continue
-            for _ in range(t):
-                if reader.remaining == 0:
+            for shift in range(t - 1, -1, -1):
+                if t - 1 - shift == rem:
                     raise TruncatedStream("truncated stream")
-                bit = reader.read(1)
                 d += 1
-                if d > self.L:
+                if d > L:
                     raise InvalidCodeState("invalid code state")
-                r = r - leaves[d - 1] + (half[d] if bit else 0)
+                r -= leaves[d - 1]
+                if (chunk >> shift) & 1:
+                    r += half[d]
                 if r <= leaves[d]:
+                    reader.skip(t - shift)
                     return (self.D.select(d, r), d)
+            reader.skip(t)
 
     def codeword_set(self) -> list[tuple[int, int, int]]:
         """All (character, value, length) triples via encode()."""
@@ -177,7 +200,7 @@ class RevCanonCode:
 
 
 class DescentTable:
-    """Per-(depth, chunk) descent accelerator.
+    """Per-(depth, chunk) descent accelerator, held in plain lists.
 
     For every start depth d and t-bit chunk: delta[d][chunk] is the rank
     shift accumulated by descending those t bits, and thr_max[d][chunk]
@@ -188,7 +211,7 @@ class DescentTable:
 
     __slots__ = ("t", "thr_max", "delta")
 
-    def __init__(self, t: int, thr_max: list[np.ndarray], delta: list[np.ndarray]):
+    def __init__(self, t: int, thr_max: list[list[int]], delta: list[list[int]]):
         self.t = t
         self.thr_max = thr_max
         self.delta = delta
@@ -202,8 +225,8 @@ def build_descent_table(code: RevCanonCode, t: int) -> DescentTable:
         raise ValueError(f"chunk width out of range: {t}")
     nchunks = 1 << t
     chunks = np.arange(nchunks, dtype=np.int64)
-    thr_list: list[np.ndarray] = []
-    delta_list: list[np.ndarray] = []
+    thr_list: list[list[int]] = []
+    delta_list: list[list[int]] = []
     for d0 in range(code.L):
         delta = np.zeros(nchunks, dtype=np.int64)
         thr = np.full(nchunks, -_BIG, dtype=np.int64)
@@ -215,6 +238,6 @@ def build_descent_table(code: RevCanonCode, t: int) -> DescentTable:
                 bit = (chunks >> (t - k)) & 1
                 delta += -code.leaves[d - 1] + bit * code._half[d]
                 np.maximum(thr, code.leaves[d] - delta, out=thr)
-        thr_list.append(thr)
-        delta_list.append(delta)
+        thr_list.append(thr.tolist())
+        delta_list.append(delta.tolist())
     return DescentTable(t, thr_list, delta_list)

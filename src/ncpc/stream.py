@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codewords import MAX_CODEWORD_BITS
-from .errors import InvalidStream, TruncatedStream
+from .errors import InvalidStream, KraftViolation, TruncatedStream
 
 _NUMPY_MIN = 2048  # below this, plain Python packing is faster
 
@@ -35,21 +35,26 @@ class SequenceCodec:
         self._long: dict[int, dict[int, int]] = {}
         self._long_lengths: list[int] = []
         if t:
+            lens = self._lens
+            short = np.flatnonzero(lens <= t)
+            # a codeword of l <= t bits fills the 2^(t-l) slots it prefixes;
+            # a prefix-free code fills at most 2^t of them, so the fill is bounded
+            span = np.left_shift(1, t - lens[short])
+            total = int(span.sum())
+            if total > 1 << t:
+                raise KraftViolation("codeword lengths exceed the Kraft inequality")
+            first = self._vals[short].astype(np.int64) << (t - lens[short])
+            slot = np.repeat(first - np.cumsum(span) + span, span) + np.arange(total)
             tlen = np.zeros(1 << t, dtype=np.int64)
             tsym = np.zeros(1 << t, dtype=np.int64)
-            for c in range(self.sigma):
-                v = int(self._vals[c])
-                l = int(self._lens[c])
-                if l <= t:
-                    lo = v << (t - l)
-                    hi = (v + 1) << (t - l)
-                    tlen[lo:hi] = l
-                    tsym[lo:hi] = c + 1
-                else:
-                    self._long.setdefault(l, {})[v] = c + 1
-            self._long_lengths = sorted(self._long)
+            tlen[slot] = np.repeat(lens[short], span)
+            tsym[slot] = np.repeat(short + 1, span)
             self._tlen = tlen.tolist()
             self._tsym = tsym.tolist()
+            for l in np.unique(lens[lens > t]).tolist():
+                chars = np.flatnonzero(lens == l)
+                self._long[l] = dict(zip(self._vals[chars].tolist(), (chars + 1).tolist()))
+            self._long_lengths = sorted(self._long)
 
     @classmethod
     def for_code(cls, code) -> "SequenceCodec":

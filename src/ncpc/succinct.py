@@ -7,8 +7,10 @@ data (37.5% overhead). It is stored pre-added: the absolute number of
 ones before every 64-bit word, and the zeros derived from it, each an O(1)
 function of two accounted entries. So rank reads one entry, and each
 select is one bisect over one list plus a select in the word found.
-select1 bisects between sampled positions of every s-th 1-bit; the
-sampling rate trades speed for space and never changes results.
+With a select sample s, select1 bisects only between the sampled
+positions of every s-th 1-bit; the sampling rate trades speed for space
+and never changes results. Without one, select1 bisects the whole
+directory and no samples are stored or counted.
 """
 
 from __future__ import annotations
@@ -37,13 +39,17 @@ def _as_bit_array(bits) -> np.ndarray:
 
 
 class Bitvector:
-    """Static bit array with rank/select. Positions are 1-based."""
+    """Static bit array with rank/select. Positions are 1-based.
+
+    select_sample=None stores no select samples.
+    """
 
     __slots__ = ("n_bits", "ones", "select_sample", "_words", "_ranks",
                  "_zranks", "_samples")
 
-    def __init__(self, bits, select_sample: int = 64) -> None:
-        if not isinstance(select_sample, int) or select_sample <= 0:
+    def __init__(self, bits, select_sample: int | None = 64) -> None:
+        if select_sample is not None and (not isinstance(select_sample, int)
+                                          or select_sample <= 0):
             raise ValueError(f"select_sample must be a positive integer: {select_sample}")
         arr = _as_bit_array(bits)
         n = int(arr.size)
@@ -67,8 +73,9 @@ class Bitvector:
         self._ranks = cum.tolist()
         self._zranks = ((np.arange(nwords + 1) << 6) - cum).tolist()
 
-        ones_pos = np.flatnonzero(arr)               # 0-based positions of 1s
-        self._samples = ones_pos[0::select_sample].tolist()
+        # 0-based positions of every select_sample-th 1-bit
+        self._samples = (np.flatnonzero(arr)[0::select_sample].tolist()
+                         if select_sample else [])
 
     # -- queries ---------------------------------------------------------
 
@@ -94,11 +101,14 @@ class Bitvector:
         """1-based position of the r-th 1-bit."""
         if not 1 <= r <= self.ones:
             raise ValueError(f"select1 rank out of range: {r}")
-        # the sampled 1-bits before and after the r-th bound its word
         samples = self._samples
-        k = (r - 1) // self.select_sample
-        hi = (samples[k + 1] >> 6) + 1 if k + 1 < len(samples) else len(self._words)
-        j = bisect_left(self._ranks, r, samples[k] >> 6, hi) - 1
+        if samples:
+            # the sampled 1-bits before and after the r-th bound its word
+            k = (r - 1) // self.select_sample
+            hi = (samples[k + 1] >> 6) + 1 if k + 1 < len(samples) else len(self._words)
+            j = bisect_left(self._ranks, r, samples[k] >> 6, hi) - 1
+        else:
+            j = bisect_left(self._ranks, r) - 1
         return (j << 6) + _select_in_word(self._words[j], r - self._ranks[j]) + 1
 
     def select0(self, r: int) -> int:
@@ -160,35 +170,31 @@ class WaveletTree:
     codewords before longer ones, so the finished entries are the front
     block of the next order and are cut off before the next level.
 
-    shape="balanced" gives every symbol the fixed ceil(lg alpha) bits of
-    symbol-1, so entries leave only after the last level. shape="huffman"
-    gives the symbols that occur the reverse-canonical code over their
-    frequencies, whose finished codewords sort first at every depth: the
-    matrix is Huffman-shaped and frequent symbols leave early.
+    The symbols that occur get the reverse-canonical code over their
+    weights, whose finished codewords sort first at every depth: the
+    matrix is Huffman-shaped and heavy symbols leave early. weights[c-1]
+    is symbol c's weight, a positive integer of any size wherever c
+    occurs; without weights, each symbol weighs its count in seq. The
+    level bitvectors keep no select samples: select bisects each level's
+    whole rank directory.
     """
 
-    def __init__(self, seq, alpha: int, shape: str = "balanced",
-                 select_sample: int = 64) -> None:
+    def __init__(self, seq, alpha: int, weights=None) -> None:
         if alpha < 1:
             raise ValueError(f"alpha must be >= 1: {alpha}")
-        if shape not in ("balanced", "huffman"):
-            raise ValueError(f"unknown shape: {shape}")
         arr = np.asarray(seq, dtype=np.int64)
         if arr.size and (arr.min() < 1 or arr.max() > alpha):
             raise ValueError("symbol out of range 1..alpha")
+        if weights is not None and len(weights) != alpha:
+            raise ValueError(f"need one weight per symbol 1..{alpha}: {len(weights)}")
         self.sigma_seq = int(arr.size)
         self.alpha = alpha
-        self.shape = shape
 
         counts = np.bincount(arr, minlength=alpha + 1)
-        if shape == "balanced":
-            syms = np.arange(1, alpha + 1)
-            vals = (syms - 1).astype(np.uint64)
-            lens = np.full(alpha, (alpha - 1).bit_length(), dtype=np.int64)
-        else:
-            syms = np.flatnonzero(counts)
-            vals, lens = (revcanon_codewords(huffman_lengths(counts[syms])) if syms.size
-                          else (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)))
+        syms = np.flatnonzero(counts)
+        w = counts[syms].tolist() if weights is None else [weights[s - 1] for s in syms]
+        vals, lens = (revcanon_codewords(huffman_lengths(w)) if syms.size
+                      else (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)))
         self.height = int(lens.max()) if lens.size else 0
 
         # Each symbol's occurrences form one block of the order at the depth
@@ -221,7 +227,7 @@ class WaveletTree:
         dropped = 0
         for k in range(self.height):
             bits = (ev[order] >> (el[order] - k - 1)) & 1
-            bv = Bitvector(bits.astype(np.uint8), select_sample)
+            bv = Bitvector(bits.astype(np.uint8), select_sample=None)
             order = np.concatenate((order[bits == 0], order[bits == 1]))
             ended = int(np.count_nonzero(el[order] == k + 1))
             self._levels.append((bv, bv.n_bits - bv.ones, dropped, ended, finished[k + 1]))
@@ -281,37 +287,55 @@ class WaveletTree:
             raise NoSuchOccurrence(f"no occurrence {r} of symbol {c}")
         val, ln, start, _ = code
         q = start + r - 1   # 0-based position among the entries at level ln
-        # up from the level where the codeword ends: bv.select1/select0, inlined
+        # up from the level where the codeword ends: bv.select1/select0 and
+        # _select_in_word, inlined
         for bv, zeros, dropped, _, _ in reversed(self._levels[:ln]):
-            if val & 1:     # the (q - zeros + 1)-th 1-bit
+            if val & 1:     # the k-th 1-bit
                 k = q - zeros + 1
                 ranks = bv._ranks
                 j = bisect_left(ranks, k) - 1
-                q = (j << 6) + _select_in_word(bv._words[j], k - ranks[j]) + dropped
-            else:           # the (q + 1)-th 0-bit
+                word = bv._words[j]
+            else:           # the k-th 0-bit
+                k = q + 1
                 ranks = bv._zranks
-                j = bisect_left(ranks, q + 1) - 1
-                q = (j << 6) + _select_in_word(~bv._words[j] & _WORD, q + 1 - ranks[j]) + dropped
+                j = bisect_left(ranks, k) - 1
+                word = ~bv._words[j] & _WORD
+            k -= ranks[j]
+            q = (j << 6) + dropped
+            c = (word & 0xFFFFFFFF).bit_count()
+            if c < k:
+                k -= c
+                word >>= 32
+                q += 32
+            c = (word & 0xFFFF).bit_count()
+            if c < k:
+                k -= c
+                word >>= 16
+                q += 16
+            c = (word & 0xFF).bit_count()
+            if c < k:
+                k -= c
+                word >>= 8
+                q += 8
+            q += _SEL8[word & 0xFF][k - 1]
             val >>= 1
         return q + 1
 
     def size_bits(self) -> int:
         """Accounted size of the matrix.
 
-        Counted: each level's bitvector and zero count, each coded symbol's
-        block end and, for the huffman shape, every symbol's codeword
-        length at ceil(lg(alpha+1)) bits. A count takes ceil(lg(m+1)) bits
-        for the size m of the level it falls in (a block end falls in the
-        level where its codeword ends). Everything else is an O(1) function
-        of one counted entry: a block starts where the previous block of
-        its depth ends, and the entries ending at a depth are the end of
-        its last block. The codewords follow from the lengths, as in any
-        code determined by its lengths.
+        Counted: each level's bitvector (data and rank directory; it keeps
+        no select samples) and zero count, each coded symbol's block end,
+        and every symbol's codeword length at ceil(lg(alpha+1)) bits. A
+        count takes ceil(lg(m+1)) bits for the size m of the level it falls
+        in (a block end falls in the level where its codeword ends).
+        Everything else is an O(1) function of one counted entry: a block
+        starts where the previous block of its depth ends, and the entries
+        ending at a depth are the end of its last block. The codewords
+        follow from the lengths, as in any code determined by its lengths.
         """
         levels = self._levels
         bits = sum(bv.size_bits() + bv.n_bits.bit_length() for bv, *_ in levels)
         bits += sum((levels[ln - 1][0].n_bits if ln else self.sigma_seq).bit_length()
                     for _, ln, _, _ in self._codes.values())
-        if self.shape == "huffman":
-            bits += self.alpha * self.alpha.bit_length()
-        return bits
+        return bits + self.alpha * self.alpha.bit_length()

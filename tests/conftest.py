@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the library's fast paths:
 linear scans, exhaustive tree enumeration, a greedy explicit-tree codec,
 a two-queue Huffman cost, an interval DP for optimal ordered trees, and
-the earlier list-rescanning Garsia-Wachs and heap Huffman builders. Tests
+the earlier list-rescanning Garsia-Wachs and heap Huffman builders, and
+the per-character fill of the bulk codec's decode tables. Tests
 compare library output against these.
 """
 
@@ -325,6 +326,34 @@ def tie_heavy_weight_cases(rng, count: int, sigma_max: int = 60):
         else:
             w = rng.choice(powers, sigma)
         yield w.tolist()
+
+
+# -- bulk codec tables --------------------------------------------------------
+
+def primary_table_loop(values, lengths):
+    """(tlen, tsym, long) of SequenceCodec's decode tables, one character at
+    a time: the t-bit primary table (t = min(16, max length)) maps each
+    window to the length and 1-based id of the codeword it starts with;
+    longer codewords go to long[length][value]. A code of one empty
+    codeword has no tables."""
+    sigma = len(lengths)
+    t = min(16, max(lengths)) if sigma else 0
+    if t == 0:
+        return [], [], {}
+    tlen = [0] * (1 << t)
+    tsym = [0] * (1 << t)
+    long: dict[int, dict[int, int]] = {}
+    for c in range(sigma):
+        v = int(values[c])
+        l = int(lengths[c])
+        if l <= t:
+            lo = v << (t - l)
+            hi = (v + 1) << (t - l)
+            tlen[lo:hi] = [l] * (hi - lo)
+            tsym[lo:hi] = [c + 1] * (hi - lo)
+        else:
+            long.setdefault(l, {})[v] = c + 1
+    return tlen, tsym, long
 
 
 # -- misc ---------------------------------------------------------------------

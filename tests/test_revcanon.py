@@ -200,6 +200,37 @@ def test_decode_codewords_longer_than_one_peek():
         code.decode(r)
 
 
+def test_sixty_four_bit_codewords_roundtrip():
+    """L = 64: the wavelet weights of D pass 2^64, and codewords fill a full peek."""
+    lengths = list(range(1, 65)) + [64]
+    code = RevCanonCode(lengths)
+    vals, lens = (a.tolist() for a in code.codeword_arrays())
+    assert [code.encode(c) for c in range(1, 66)] == list(zip(vals, lens))
+    w = BitWriter()
+    msg = list(range(65, 0, -1)) + [1, 64, 65, 33]
+    for m in msg:
+        w.write(*code.encode(m))
+    r = BitReader(w.getvalue(), w.bit_length)
+    assert [code.decode(r) for _ in msg] == [(m, lengths[m - 1]) for m in msg]
+    assert r.remaining == 0
+
+
+def test_D_is_shaped_by_counts_and_code_probabilities(rng):
+    """The matrix over D is the Huffman shape of n_d * (2^L + sigma * 2^(L-d))."""
+    from ncpc.codewords import revcanon_codewords
+    for lengths in (huffman_lengths(gen_zipf(50_000, 4096, 1.0, 3).smoothed_freqs()),
+                    list(range(1, 65)) + [64], FIVE):
+        code = RevCanonCode(lengths, shape="huffman")
+        L, sigma = code.L, code.sigma
+        present = sorted(set(lengths))
+        weights = [lengths.count(d) * (2**L + sigma * 2**(L - d)) for d in present]
+        vals, lens = revcanon_codewords(huffman_lengths(weights))
+        assert {d: code.D._codes[d][:2] for d in present} == dict(
+            zip(present, zip(vals.tolist(), lens.tolist())))
+    with pytest.raises(ValueError):
+        RevCanonCode(FIVE, shape="balanced")
+
+
 def test_roundtrip_random(rng):
     for _ in range(50):
         sigma = int(rng.integers(1, 700))
@@ -388,5 +419,5 @@ def test_model_bits_pinned_on_zipf_4096():
     fixed numbers: a change to how the directories are stored must not move them."""
     from ncpc.alphabetic import build_alphabetic_code
     freqs = gen_zipf(200000, 4096, 1.0, seed=1).smoothed_freqs()
-    assert RevCanonCode(huffman_lengths(freqs), shape="huffman").model_size_bits() == 24429
+    assert RevCanonCode(huffman_lengths(freqs), shape="huffman").model_size_bits() == 20178
     assert build_alphabetic_code(freqs).model_size_bits() == 22667

@@ -3,10 +3,11 @@ import time
 import numpy as np
 import pytest
 
-from ncpc.alphabetic import build_alphabetic_code
+from conftest import primary_table_loop
+from ncpc.alphabetic import alphabetic_codewords, alphabetic_profile, build_alphabetic_code
 from ncpc.bits import BitReader
 from ncpc.codewords import revcanon_codewords
-from ncpc.errors import InvalidStream, TruncatedStream
+from ncpc.errors import InvalidStream, KraftViolation, TruncatedStream
 from ncpc.revcanon import RevCanonCode, huffman_lengths
 from ncpc.stream import SequenceCodec
 
@@ -106,3 +107,25 @@ def test_decode_checks_n_against_the_payload():
     with pytest.raises(TruncatedStream):
         sc.decode(b"\x00", 9)  # nine codewords of at least one bit in eight bits
     assert sc.decode(b"\x00", 8).tolist() == [1] * 8
+
+
+def test_decode_tables_match_the_per_character_fill(rng):
+    """Both families, on random codes with and without codewords over 16 bits."""
+    for case in range(40):
+        sigma = int(rng.integers(1, 3000))
+        if case % 2:   # geometric tails give codewords up to 40 bits
+            freqs = [1 << max(0, 40 - int(i)) for i in rng.permutation(sigma)]
+        else:
+            freqs = rng.integers(1, 1000, sigma).tolist()
+        for vals, lens in (revcanon_codewords(huffman_lengths(freqs)),
+                           alphabetic_codewords(alphabetic_profile(freqs).depths)):
+            sc = SequenceCodec(vals, lens)
+            tlen, tsym, long = primary_table_loop(vals.tolist(), lens.tolist())
+            assert (getattr(sc, "_tlen", []), getattr(sc, "_tsym", [])) == (tlen, tsym)
+            assert sc._long == long
+            assert sc._long_lengths == sorted(long)
+
+
+def test_decode_table_fill_refuses_codes_past_kraft():
+    with pytest.raises(KraftViolation):
+        SequenceCodec(np.zeros(4, dtype=np.uint64), np.ones(4, dtype=np.int64))

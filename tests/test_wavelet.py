@@ -21,12 +21,6 @@ def scan_check(wt: WaveletTree, seq: list[int], alpha: int) -> None:
             wt.select(c, len(occ) + 1)
 
 
-def test_balanced_level_count():
-    wt = WaveletTree([1, 2, 3, 4, 4], 4, "balanced")
-    assert wt.height == 2
-    assert len(wt._levels) == 2
-
-
 def test_symbol_out_of_range():
     with pytest.raises(ValueError):
         WaveletTree([5], 4)
@@ -49,8 +43,8 @@ def test_alpha_one():
 
 def test_mixed_sequence_examples():
     seq = [1, 2, 3, 4, 4]
-    for shape in ("balanced", "huffman"):
-        wt = WaveletTree(seq, 4, shape)
+    for weights in (None, [1, 1, 1, 1], [2**70, 1, 3, 2]):
+        wt = WaveletTree(seq, 4, weights)
         assert wt.access(3) == 3
         assert wt.rank(4, 4) == 1
         assert wt.select(4, 2) == 5
@@ -70,14 +64,16 @@ def test_select_rank_inverse(rng):
 
 
 def test_random_sequences_against_scan_oracle(rng):
-    """200 random sequences, both shapes, alpha <= 64."""
+    """200 random sequences, alpha <= 64, shaped by the counts or by random
+    weights, some beyond 64 bits."""
     for trial in range(200):
         n = int(rng.integers(1, 4097)) if trial % 10 == 0 else int(rng.integers(1, 260))
         alpha = int(rng.integers(1, 65))
         seq = rng.integers(1, alpha + 1, n).tolist()
-        shape = "balanced" if trial % 2 == 0 else "huffman"
-        wt = WaveletTree(seq, alpha, shape,
-                         select_sample=int(rng.choice([16, 32, 64, 128])))
+        weights = (None if trial % 2 == 0 else
+                   [int(x) << int(s) for x, s in zip(rng.integers(1, 1000, alpha),
+                                                     rng.integers(0, 70, alpha))])
+        wt = WaveletTree(seq, alpha, weights)
         scan_check(wt, seq, min(alpha, 10))
         # spot-check the rest of the alphabet's rank totals
         for c in range(11, alpha + 1, 7):
@@ -86,9 +82,9 @@ def test_random_sequences_against_scan_oracle(rng):
 
 def test_huffman_skewed_shape_is_shallow(rng):
     seq = [1] * 1000 + rng.integers(2, 9, 40).tolist()
-    wt = WaveletTree(seq, 8, "huffman")
-    wtb = WaveletTree(seq, 8, "balanced")
-    assert wt.size_bits() < wtb.size_bits()
+    wt = WaveletTree(seq, 8)
+    assert wt._codes[1][1] == 1     # the frequent symbol leaves after one level
+    assert wt._levels[1][0].n_bits == 40
     assert wt.access(1) == 1
 
 
@@ -100,8 +96,8 @@ def test_access_rank_fuses_access_and_rank(rng):
              ([5] * 40, 9),                             # one distinct value
              ([1] * 30, 1)]                             # alpha = 1
     for seq, alpha in cases:
-        for shape in ("balanced", "huffman"):
-            wt = WaveletTree(seq, alpha, shape)
+        for weights in (None, list(range(alpha, 0, -1))):
+            wt = WaveletTree(seq, alpha, weights)
             for i in range(1, len(seq) + 1):
                 c = wt.access(i)
                 assert wt.access_rank(i) == (c, wt.rank(c, i))
@@ -115,7 +111,7 @@ def test_access_rank_fuses_access_and_rank(rng):
 def test_huffman_shape_is_the_reverse_canonical_code_of_the_counts(rng):
     from ncpc.codewords import huffman_lengths, revcanon_codewords
     seq = rng.integers(1, 20, 900).tolist() + [7] * 400
-    wt = WaveletTree(seq, 24, "huffman")
+    wt = WaveletTree(seq, 24)
     present = sorted(set(seq))
     vals, lens = revcanon_codewords(huffman_lengths([seq.count(c) for c in present]))
     assert {c: wt._codes[c][:2] for c in present} == dict(
@@ -123,9 +119,39 @@ def test_huffman_shape_is_the_reverse_canonical_code_of_the_counts(rng):
     assert wt.height == max(lens.tolist())
 
 
+def test_weighted_shape_is_the_reverse_canonical_code_of_the_weights(rng):
+    from ncpc.codewords import huffman_lengths, revcanon_codewords
+    seq = rng.integers(1, 20, 900).tolist() + [7] * 400
+    weights = [int(x) << 64 for x in rng.integers(1, 10**6, 24)]   # beyond int64
+    weights[2] = 1                                                # a rare value's weight
+    wt = WaveletTree(seq, 24, weights)
+    present = sorted(set(seq))
+    vals, lens = revcanon_codewords(huffman_lengths([weights[c - 1] for c in present]))
+    assert {c: wt._codes[c][:2] for c in present} == dict(
+        zip(present, zip(vals.tolist(), lens.tolist())))
+    assert wt.height == max(lens.tolist())
+    # the counts play no part: rare symbol 3 keeps its long codeword at any count
+    assert wt._codes[3][:2] == WaveletTree(seq + [3] * 5000, 24, weights)._codes[3][:2]
+    scan_check(wt, seq, 24)
+    with pytest.raises(ValueError):
+        WaveletTree(seq, 24, weights[:-1])
+
+
+def test_size_bits_has_no_select_sample_term(rng):
+    seq = rng.integers(1, 13, 5000).tolist() + [4] * 3000
+    wt = WaveletTree(seq, 12)
+    levels = [bv for bv, *_ in wt._levels]
+    assert levels and all(bv._samples == [] and bv.select_sample_bits() == 0 for bv in levels)
+    expect = sum(bv.n_bits + bv.directory_bits() + bv.n_bits.bit_length() for bv in levels)
+    expect += sum((levels[ln - 1].n_bits if ln else wt.sigma_seq).bit_length()
+                  for _, ln, _, _ in wt._codes.values())
+    expect += 12 * (12).bit_length()
+    assert wt.size_bits() == expect
+
+
 def test_empty_sequence():
-    for shape in ("balanced", "huffman"):
-        wt = WaveletTree([], 4, shape)
+    for weights in (None, [1, 2, 3, 4]):
+        wt = WaveletTree([], 4, weights)
         assert wt.rank(2, 0) == 0
         with pytest.raises(NoSuchOccurrence):
             wt.select(2, 1)
@@ -140,7 +166,7 @@ def test_deep_huffman_shape_against_scan_oracle(rng):
     seq = np.repeat(np.arange(1, 13), [40 * c for c in counts])
     rng.shuffle(seq)
     seq = seq.tolist()
-    wt = WaveletTree(seq, 12, "huffman", select_sample=16)
+    wt = WaveletTree(seq, 12)
     assert wt.height == 11
     sizes = [bv.n_bits for bv, *_ in wt._levels]
     assert sizes[0] > 8 * 512 and sizes[-1] > 64
