@@ -367,6 +367,21 @@ def _selftest_checks(corrupt_leaves: bool):
         r = BitReader(w.getvalue(), 4)
         assert code.decode(r) == (5, 4)
 
+    def root_table_descent():
+        codes = (make_code(), RevCanonCode(huffman_lengths(rng.integers(1, 50, 64).tolist())))
+        for code in codes:
+            msg = rng.integers(1, code.sigma + 1, 300).tolist()
+            data, nbits = SequenceCodec.for_code(code).encode(msg)
+            r1 = BitReader(data, nbits)
+            r2 = BitReader(data, nbits)
+            for _ in msg:
+                d, r = 0, 1     # explicit descent, one bit per step
+                while r > code.leaves[d]:
+                    d += 1
+                    r = code.child_rank(d, r, r2.read(1))
+                assert code.decode(r1) == (code.D.select(d, r), d)
+                assert r1.tell() == r2.tell()
+
     def child_parent_inverse():
         code = make_code()
         for d in range(1, code.L + 1):
@@ -443,6 +458,7 @@ def _selftest_checks(corrupt_leaves: bool):
         ("five-char-codewords", five_char_codewords),
         ("five-char-ascent", five_char_ascent),
         ("five-char-descent", five_char_descent),
+        ("root-table-descent", root_table_descent),
         ("child-parent-inverse", child_parent_inverse),
         ("decode-fast-equivalence", decode_fast_equivalence),
         ("alpha-sigma4-compile", alpha_sigma4_compile),

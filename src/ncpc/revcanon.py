@@ -4,9 +4,11 @@ Codeword lengths are non-decreasing when the codewords are sorted by
 their bit-reversed form, and within one length the reversed order equals
 character order. Under that convention the whole code is determined by
 the depth sequence D (one codeword length per character) plus per-depth
-leaf/node counts, and codewords are never materialized: encoding walks
-the implicit code tree from leaf to root and decoding from root to leaf,
-using only rank arithmetic.
+leaf counts, and codewords are never materialized: encoding walks the
+implicit code tree from leaf to root and decoding from root to leaf,
+using only rank arithmetic. Decoding starts from a root table over the
+first t = ceil(ceil(lg sigma) / 2) bits, which answers codewords of at
+most t bits outright and gives the rank at depth t for the rest.
 
 Rank conventions at depth d (1-based ranks over reversed path labels):
 leaves occupy ranks 1..leaves[d], internal nodes the rest; a node is a
@@ -26,7 +28,7 @@ from .succinct import WaveletTree
 
 
 class RevCanonCode:
-    """Code model: depth sequence D plus leaves/nodes tables.
+    """Code model: depth sequence D, per-depth leaf counts and a root table.
 
     D is stored in a wavelet matrix Huffman-shaped by an equal mix of two
     distributions over the depths: how many characters have each depth,
@@ -35,6 +37,11 @@ class RevCanonCode:
     to sigma * 2^L by the Kraft equality, so the mix has no free constant,
     and the weights are a function of D alone. shape="huffman" names that
     shape, the only one.
+
+    root has one entry per t-bit window, t = ceil(ceil(lg sigma) / 2) <= L:
+    (c, d) when the window starts with character c's codeword of length
+    d <= t, else the window's internal rank at depth t. It costs
+    O(sqrt(sigma) log sigma) bits, which size_breakdown() counts.
     """
 
     def __init__(self, lengths, shape: str = "huffman") -> None:
@@ -58,6 +65,32 @@ class RevCanonCode:
                    for d, n in enumerate(self.leaves[1:], 1)]
         self.D = WaveletTree(lengths, L, weights) if sigma > 1 else None
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+
+        # t <= ceil(lg sigma) <= L, so every window fits in one peek
+        self.t = ((sigma - 1).bit_length() + 1) // 2
+        self.root = self._root_table()
+
+    def _root_table(self) -> list:
+        """The root table, filled in window order: a leaf of depth d <= t
+        fills its span of 2^(t-d) windows, an internal node at depth t one."""
+        t = self.t
+        leaves = self.leaves
+        half = self._half
+        root: list = []
+        while len(root) < 1 << t:
+            w = len(root)
+            d, r = 0, 1
+            while r > leaves[d] and d < t:
+                d += 1
+                r -= leaves[d - 1]
+                if (w >> (t - d)) & 1:
+                    r += half[d]
+            if r > leaves[d]:
+                root.append(r)
+            else:
+                c = self.D.select(d, r) if d else 1
+                root += [(c, d)] * (1 << (t - d))
+        return root
 
     # -- rank arithmetic ---------------------------------------------------
 
@@ -111,20 +144,28 @@ class RevCanonCode:
     def decode(self, reader: BitReader) -> tuple[int, int]:
         """(character, length) for the next codeword, by root-to-leaf descent.
 
-        Peeks up to 64 bits at a time and descends over them by rank
-        arithmetic, then skips the bits the codeword used.
+        Peeks up to 64 bits at a time. The root table answers from the
+        first t of them: a codeword of at most t bits is returned with no
+        descent and no select on D; otherwise the descent resumes by rank
+        arithmetic at depth t. Then skips the bits the codeword used.
         """
-        if self.sigma == 1:
-            return (1, 0)
+        L = self.L
+        width = L if L < 64 else 64
+        chunk = reader.peek(width)
+        t = self.t
+        e = self.root[chunk >> (width - t)]
+        if type(e) is tuple:
+            if e[1] > reader.remaining:
+                raise TruncatedStream("truncated stream")
+            reader.skip(e[1])
+            return e
         leaves = self.leaves
         half = self._half
-        L = self.L
-        d = 0
-        r = 1
+        d = t
+        r = e
+        top = width - t     # peeked bits below the root window
         while True:
-            width = min(L - d, 64)
-            chunk = reader.peek(width)
-            for shift in range(width - 1, -1, -1):
+            for shift in range(top - 1, -1, -1):
                 d += 1
                 r -= leaves[d - 1]
                 if (chunk >> shift) & 1:
@@ -140,6 +181,9 @@ class RevCanonCode:
             if d == L:
                 raise InvalidCodeState("invalid code state")
             reader.skip(width)
+            width = min(L - d, 64)
+            chunk = reader.peek(width)
+            top = width
 
     def decode_fast(self, table: "DescentTable", reader: BitReader) -> tuple[int, int]:
         """decode() accelerated by t-bit chunk jumps; identical output.
@@ -193,10 +237,23 @@ class RevCanonCode:
             self._arrays = revcanon_codewords(self.depths)
         return self._arrays
 
+    def size_breakdown(self) -> dict[str, int]:
+        """Accounted bits per component.
+
+        D: the wavelet matrix over the depths. leaves: one count per depth
+        0..L at ceil(lg(sigma+1)) bits; nodes and the halves follow from
+        them (nodes[d+1] = 2 * (nodes[d] - leaves[d])). root: 2^t entries,
+        each a depth of at most t or a miss mark (ceil(lg(t+2)) bits) and a
+        character or an internal rank at depth t, at most 2^t <= sigma
+        (ceil(lg(sigma+1)) bits).
+        """
+        count = self.sigma.bit_length()
+        return {"D": self.D.size_bits() if self.D is not None else 0,
+                "leaves": (self.L + 1) * count,
+                "root": len(self.root) * ((self.t + 1).bit_length() + count)}
+
     def model_size_bits(self) -> int:
-        """Accounted size: wavelet matrix of D plus leaves/nodes as 64-bit words."""
-        wt = self.D.size_bits() if self.D is not None else 0
-        return wt + 64 * 2 * (self.L + 1)
+        return sum(self.size_breakdown().values())
 
 
 class DescentTable:

@@ -233,6 +233,19 @@ class WaveletTree:
             self._levels.append((bv, bv.n_bits - bv.ones, dropped, ended, finished[k + 1]))
             order = order[ended:]
             dropped = ended
+        # The same levels as flat tuples of the fields each walk reads, so a
+        # query step loads no Bitvector attribute: top-down for access_rank,
+        # and per codeword length ln, the first ln levels top-down for rank
+        # and bottom-up for select.
+        levels = self._levels
+        self._access_walk = tuple((bv._words, bv._ranks, zeros, ended, leaf)
+                                  for bv, zeros, _, ended, leaf in levels)
+        self._rank_walks = tuple(tuple((bv._words, bv._ranks, zeros, dropped)
+                                       for bv, zeros, dropped, _, _ in levels[:ln])
+                                 for ln in range(self.height + 1))
+        self._select_walks = tuple(tuple((bv._words, bv._ranks, bv._zranks, zeros, dropped)
+                                         for bv, zeros, dropped, _, _ in reversed(levels[:ln]))
+                                   for ln in range(self.height + 1))
 
     def access_rank(self, i: int) -> tuple[int, int]:
         """(c, rank(c, i)) for the symbol c at position i, in one walk."""
@@ -240,9 +253,9 @@ class WaveletTree:
             raise IndexError(f"position out of range: {i}")
         p = i - 1           # 0-based position among the entries at this level
         v = 0               # codeword bits read so far
-        for bv, zeros, _, ended, leaf in self._levels:
-            word = bv._words[p >> 6]
-            ones = bv._ranks[p >> 6] + (word & ((1 << (p & 63)) - 1)).bit_count()  # bv.rank1(p)
+        for words, ranks, zeros, ended, leaf in self._access_walk:
+            word = words[p >> 6]
+            ones = ranks[p >> 6] + (word & ((1 << (p & 63)) - 1)).bit_count()  # bv.rank1(p)
             if (word >> (p & 63)) & 1:
                 v = (v << 1) | 1
                 q = zeros + ones
@@ -269,11 +282,14 @@ class WaveletTree:
             return 0
         val, ln, start, _ = code
         q = i
-        for k in range(ln):
-            bv, zeros, dropped, _, _ = self._levels[k]
+        shift = ln
+        for words, ranks, zeros, dropped in self._rank_walks[ln]:
             p = q - dropped
-            ones = bv.rank1(p)
-            q = zeros + ones if (val >> (ln - 1 - k)) & 1 else p - ones
+            ones = ranks[p >> 6]    # bv.rank1(p), inlined
+            if p & 63:
+                ones += (words[p >> 6] & ((1 << (p & 63)) - 1)).bit_count()
+            shift -= 1
+            q = zeros + ones if (val >> shift) & 1 else p - ones
         return q - start
 
     def select(self, c: int, r: int) -> int:
@@ -289,18 +305,17 @@ class WaveletTree:
         q = start + r - 1   # 0-based position among the entries at level ln
         # up from the level where the codeword ends: bv.select1/select0 and
         # _select_in_word, inlined
-        for bv, zeros, dropped, _, _ in reversed(self._levels[:ln]):
+        for words, ranks, zranks, zeros, dropped in self._select_walks[ln]:
             if val & 1:     # the k-th 1-bit
                 k = q - zeros + 1
-                ranks = bv._ranks
                 j = bisect_left(ranks, k) - 1
-                word = bv._words[j]
+                word = words[j]
+                k -= ranks[j]
             else:           # the k-th 0-bit
                 k = q + 1
-                ranks = bv._zranks
-                j = bisect_left(ranks, k) - 1
-                word = ~bv._words[j] & _WORD
-            k -= ranks[j]
+                j = bisect_left(zranks, k) - 1
+                word = ~words[j] & _WORD
+                k -= zranks[j]
             q = (j << 6) + dropped
             c = (word & 0xFFFFFFFF).bit_count()
             if c < k:

@@ -2,10 +2,11 @@
 
 Everything here is deliberately independent of the library's fast paths:
 linear scans, exhaustive tree enumeration, a greedy explicit-tree codec,
-a two-queue Huffman cost, an interval DP for optimal ordered trees, and
-the earlier list-rescanning Garsia-Wachs and heap Huffman builders, and
-the per-character fill of the bulk codec's decode tables. Tests
-compare library output against these.
+a two-queue Huffman cost, an interval DP for optimal ordered trees, the
+earlier list-rescanning Garsia-Wachs and heap Huffman builders, the
+per-character fill of the bulk codec's decode tables, and the per-bit
+reverse-canonical decode that the root table replaced. Tests compare
+library output against these.
 """
 
 from __future__ import annotations
@@ -308,12 +309,13 @@ def optimal_depths_dp(freqs) -> list[int]:
     return depths
 
 
-def tie_heavy_weight_cases(rng, count: int, sigma_max: int = 60):
+def tie_heavy_weight_cases(rng, count: int, sigma_max: int = 60, sigma_min: int = 1):
     """Weight vectors for builder-equality tests, cycling through five kinds:
-    {1..5}, {1..1000}, sorted ascending, sorted descending, {1, 2, 4, 8, 2^20}."""
+    {1..5}, {1..1000}, sorted ascending, sorted descending, {1, 2, 4, 8, 2^20}.
+    Each has a random length in sigma_min..sigma_max."""
     powers = np.array([1, 2, 4, 8, 1 << 20])
     for case in range(count):
-        sigma = int(rng.integers(1, sigma_max + 1))
+        sigma = int(rng.integers(sigma_min, sigma_max + 1))
         kind = case % 5
         if kind == 0:
             w = rng.integers(1, 6, sigma)
@@ -354,6 +356,40 @@ def primary_table_loop(values, lengths):
         else:
             long.setdefault(l, {})[v] = c + 1
     return tlen, tsym, long
+
+
+# -- reverse-canonical decode without the root table ----------------------------
+
+def revcanon_decode_per_bit(code, reader):
+    """RevCanonCode.decode as it was before the root table: descends from
+    the root one bit at a time over 64-bit peeks, then selects on D."""
+    from ncpc.errors import InvalidCodeState, TruncatedStream
+    if code.sigma == 1:
+        return (1, 0)
+    leaves = code.leaves
+    half = code._half
+    L = code.L
+    d = 0
+    r = 1
+    while True:
+        width = min(L - d, 64)
+        chunk = reader.peek(width)
+        for shift in range(width - 1, -1, -1):
+            d += 1
+            r -= leaves[d - 1]
+            if (chunk >> shift) & 1:
+                r += half[d]
+            if r <= leaves[d]:
+                used = width - shift
+                if used > reader.remaining:
+                    raise TruncatedStream("truncated stream")
+                reader.skip(used)
+                return (code.D.select(d, r), d)
+        if width > reader.remaining:
+            raise TruncatedStream("truncated stream")
+        if d == L:
+            raise InvalidCodeState("invalid code state")
+        reader.skip(width)
 
 
 # -- misc ---------------------------------------------------------------------

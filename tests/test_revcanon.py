@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (bits_of, huffman_cost_twoqueue, huffman_lengths_heap,
-                      kraft_complete_multisets, revlex_char_codewords,
-                      tie_heavy_weight_cases)
+                      kraft_complete_multisets, revcanon_decode_per_bit,
+                      revlex_char_codewords, tie_heavy_weight_cases)
 from ncpc.bits import BitReader, BitWriter
 from ncpc.corpus import gen_zipf
-from ncpc.errors import KraftViolation, NoSuchOccurrence, TruncatedStream
+from ncpc.errors import KraftViolation, NcpcError, NoSuchOccurrence, TruncatedStream
 from ncpc.revcanon import RevCanonCode, build_descent_table, huffman_lengths
 from ncpc.stream import SequenceCodec
 
@@ -254,6 +254,111 @@ def test_codeword_arrays_match_encode(rng):
             assert (int(vals[i - 1]), int(lens[i - 1])) == (v, l)
 
 
+# -- root table ------------------------------------------------------------------
+
+def pack_codewords(code, chars) -> tuple[bytes, int]:
+    """The codewords of `chars` back to back; codewords may pass 64 bits."""
+    w = BitWriter()
+    for c in chars:
+        v, l = code.encode(c)
+        if l > 64:
+            w.write(v >> 64, l - 64)
+            l = 64
+        w.write(v & ((1 << l) - 1), l)
+    return w.getvalue(), w.bit_length
+
+
+def assert_decodes_like_per_bit(code, data: bytes, nbits: int) -> None:
+    """decode and the per-bit oracle agree on every codeword of the stream,
+    and on each of its last 80 cuts: same result, same reader position
+    after each codeword, same exception type."""
+    fast, slow = BitReader(data, nbits), BitReader(data, nbits)
+    starts = []
+    while slow.remaining:
+        starts.append(slow.tell())
+        assert code.decode(fast) == revcanon_decode_per_bit(code, slow)
+        assert fast.tell() == slow.tell()
+    for cut in range(max(0, nbits - 80), nbits):
+        fast, slow = BitReader(data, cut), BitReader(data, cut)
+        start = max(b for b in starts if b <= cut)  # the codeword the cut falls in
+        fast.skip(start)
+        slow.skip(start)
+        try:
+            want = revcanon_decode_per_bit(code, slow)
+        except NcpcError as e:
+            with pytest.raises(type(e)):
+                code.decode(fast)
+        else:
+            assert code.decode(fast) == want
+        assert fast.tell() == slow.tell()
+
+
+def test_root_table_width_and_entries(rng):
+    """t = ceil(ceil(lg sigma) / 2); window w holds (c, d) when it starts with
+    c's codeword of length d <= t, else the rank of its node at depth t."""
+    for lengths in ([0], [1, 1], [1, 2, 2], FIVE, list(range(1, 70)) + [69],
+                    huffman_lengths(gen_zipf(50_000, 4096, 1.0, 3).smoothed_freqs()),
+                    huffman_lengths(rng.integers(1, 9, 65536).tolist())):
+        code = RevCanonCode(lengths)
+        sigma = len(lengths)
+        t = code.t
+        assert t == -(-int(np.ceil(np.log2(sigma))) // 2)
+        assert len(code.root) == 1 << t
+        want: list = [None] * (1 << t)
+        for c, v, l in code.codeword_set():
+            if l <= t:
+                want[v << (t - l):(v + 1) << (t - l)] = [(c, l)] * (1 << (t - l))
+        for w, e in enumerate(code.root):
+            if want[w] is None:     # an internal node, whose rank the descent reaches
+                assert type(e) is int and code.leaves[t] < e <= code.nodes[t]
+                r = 1
+                for d in range(1, t + 1):
+                    r = code.child_rank(d, r, (w >> (t - d)) & 1)
+                assert e == r
+            else:
+                assert e == want[w]
+        assert code.size_breakdown()["root"] == (1 << t) * (
+            int(np.ceil(np.log2(t + 2))) + int(np.ceil(np.log2(sigma + 1))))
+
+
+def test_decode_matches_per_bit_descent_random_codes(rng):
+    for sigma in (2, 3, 5, 17, 256, 4096):
+        for weights in tie_heavy_weight_cases(rng, 5, sigma_max=sigma, sigma_min=sigma):
+            code = RevCanonCode(huffman_lengths(weights))
+            msg = rng.integers(1, sigma + 1, 150).tolist()
+            assert_decodes_like_per_bit(code, *pack_codewords(code, msg))
+            # every character once, the longest codewords last
+            order = sorted(range(1, sigma + 1), key=lambda c: code.depths[c - 1])
+            assert_decodes_like_per_bit(code, *pack_codewords(code, order))
+
+
+def test_decode_matches_per_bit_descent_past_one_peek():
+    code = RevCanonCode(list(range(1, 70)) + [69])
+    msg = [70, 1, 69, 35, 64, 65, 2, 70, 3, 4, 5]
+    assert_decodes_like_per_bit(code, *pack_codewords(code, msg))
+
+
+def test_stream_ending_inside_the_root_window():
+    """Fewer than t bits left: a whole short codeword decodes, a cut one is
+    truncated."""
+    code = RevCanonCode(list(range(1, 17)) + [16])     # sigma 17, t = 3
+    assert code.t == 3
+    for c in range(1, code.sigma + 1):
+        v, l = code.encode(c)
+        if l < code.t:
+            w = BitWriter()
+            w.write(v, l)
+            r = BitReader(w.getvalue(), l)
+            assert code.decode(r) == (c, l) and r.remaining == 0
+        for cut in range(min(l, code.t)):
+            w = BitWriter()
+            w.write(v >> (l - cut), cut)
+            r = BitReader(w.getvalue(), cut)
+            with pytest.raises(TruncatedStream):
+                code.decode(r)
+            assert r.tell() == 0
+
+
 # -- defining properties -----------------------------------------------------------
 
 def reversed_prefix(value: int, length: int, k: int) -> str:
@@ -419,5 +524,7 @@ def test_model_bits_pinned_on_zipf_4096():
     fixed numbers: a change to how the directories are stored must not move them."""
     from ncpc.alphabetic import build_alphabetic_code
     freqs = gen_zipf(200000, 4096, 1.0, seed=1).smoothed_freqs()
-    assert RevCanonCode(huffman_lengths(freqs), shape="huffman").model_size_bits() == 20178
+    code = RevCanonCode(huffman_lengths(freqs), shape="huffman")
+    assert code.size_breakdown() == {"D": 17746, "leaves": 247, "root": 1024}
+    assert code.model_size_bits() == 19017
     assert build_alphabetic_code(freqs).model_size_bits() == 22667
