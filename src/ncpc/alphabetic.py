@@ -367,14 +367,23 @@ class CompactAlphabeticCode:
             self._arrays = alphabetic_codewords(self.depths)
         return self._arrays
 
-    def model_size_bits(self) -> int:
-        """Accounted size: B with directories, S entries, A entries."""
+    def size_breakdown(self) -> dict[str, int]:
+        """Accounted bits per component.
+
+        B: the marker bitvector with its directories. S: one value of at
+        most height_cap bits and its length per entry. A: one character or
+        subtree root, a length and a kind bit per dispatch prefix. sigma = 1
+        is accounted as one byte.
+        """
         if self.sigma == 1:
-            return 8
+            return {"B": 8, "S": 0, "A": 0}
         hbits = max(1, self.height_cap.bit_length())
-        s_bits = len(self._s_vals) * (self.height_cap + hbits)
-        a_bits = len(self._a_char) * (self.sigma.bit_length() + hbits + 1)
-        return self.B.size_bits() + s_bits + a_bits
+        return {"B": self.B.size_bits(),
+                "S": len(self._s_vals) * (self.height_cap + hbits),
+                "A": len(self._a_char) * (self.sigma.bit_length() + hbits + 1)}
+
+    def model_size_bits(self) -> int:
+        return sum(self.size_breakdown().values())
 
 
 def compile_code(profile: DepthProfile, sigma: int,

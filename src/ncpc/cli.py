@@ -17,8 +17,8 @@ import numpy as np
 
 from .alphabetic import DepthProfile, build_alphabetic_code, compile_code
 from .bits import BitReader, BitWriter
-from .corpus import (FAMILY_BY_NAME, FAMILY_WMM, SymbolSequence, container_read,
-                     container_write, depth_entropy, family_codewords,
+from .corpus import (FAMILY_BY_NAME, FAMILY_WMM, SymbolSequence, _container_bytes,
+                     container_read, container_write, depth_entropy, family_codewords,
                      family_depths, gen_zipf, ingest, stats)
 from .errors import ContainerError, NcpcError
 from .revcanon import RevCanonCode, build_descent_table, huffman_lengths
@@ -134,8 +134,9 @@ def cmd_encode(args) -> int:
     seq = _sequence_for_encode(data, args.mode)
     family = FAMILY_BY_NAME[args.codec]
     depths = family_depths(family, seq.smoothed_freqs())
+    # family_codewords validates the depths, as container_write would again
     payload, _ = SequenceCodec(*family_codewords(family, depths)).encode(seq.symbols)
-    blob = container_write(depths, family, payload, seq.n)
+    blob = _container_bytes(depths, family, payload, seq.n)
     with open(args.output, "wb") as f:
         f.write(blob)
     return EXIT_OK
@@ -367,9 +368,10 @@ def _selftest_checks(corrupt_leaves: bool):
         r = BitReader(w.getvalue(), 4)
         assert code.decode(r) == (5, 4)
 
+    random_code = RevCanonCode(huffman_lengths(rng.integers(1, 50, 64).tolist()))
+
     def root_table_descent():
-        codes = (make_code(), RevCanonCode(huffman_lengths(rng.integers(1, 50, 64).tolist())))
-        for code in codes:
+        for code in (make_code(), random_code):
             msg = rng.integers(1, code.sigma + 1, 300).tolist()
             data, nbits = SequenceCodec.for_code(code).encode(msg)
             r1 = BitReader(data, nbits)
@@ -391,14 +393,19 @@ def _selftest_checks(corrupt_leaves: bool):
                     assert code.parent_rank(d, rc) == (rp, bit)
 
     def decode_fast_equivalence():
-        code = make_code()
-        table = build_descent_table(code, 4)
-        msg = (rng.integers(1, 6, 200)).tolist()
-        data, nbits = SequenceCodec.for_code(code).encode(msg)
-        r1 = BitReader(data, nbits)
-        r2 = BitReader(data, nbits)
-        for _ in msg:
-            assert code.decode(r1) == code.decode_fast(table, r2)
+        # t = 8 is wider than the five-character code's L = 4; on the random
+        # code, t = 1 sends most codewords down the miss path and t = 8
+        # answers most from the table
+        for code, t in ((make_code(), 4), (make_code(), 8),
+                        (random_code, 1), (random_code, 8)):
+            table = build_descent_table(code, t)
+            msg = (rng.integers(1, code.sigma + 1, 200)).tolist()
+            data, nbits = SequenceCodec.for_code(code).encode(msg)
+            r1 = BitReader(data, nbits)
+            r2 = BitReader(data, nbits)
+            for _ in msg:
+                assert code.decode(r1) == code.decode_fast(table, r2)
+            assert r1.tell() == r2.tell() == nbits
 
     def alpha_sigma4_compile():
         prof = DepthProfile((2, 2, 2, 2))

@@ -183,11 +183,16 @@ def container_write(depths, family: int, payload: bytes, n: int) -> bytes:
         raise ValueError("empty model")
     if n < 0:
         raise ValueError("n must be >= 0")
-    sigma = len(depths)
-    L = max(depths)
-    if L > MAX_CODEWORD_BITS:
+    if max(depths) > MAX_CODEWORD_BITS:
         raise ValueError(f"max codeword length exceeds {MAX_CODEWORD_BITS}")
     family_codewords(family, depths)  # validates the depths for the family
+    return _container_bytes(depths, family, payload, n)
+
+
+def _container_bytes(depths: list[int], family: int, payload: bytes, n: int) -> bytes:
+    """container_write for depths that family_codewords has accepted."""
+    sigma = len(depths)
+    L = max(depths)
     if sigma > 0xFFFFFFFF:
         raise ValueError("sigma exceeds 32 bits")
 

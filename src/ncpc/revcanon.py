@@ -8,7 +8,8 @@ leaf counts, and codewords are never materialized: encoding walks the
 implicit code tree from leaf to root and decoding from root to leaf,
 using only rank arithmetic. Decoding starts from a root table over the
 first t = ceil(ceil(lg sigma) / 2) bits, which answers codewords of at
-most t bits outright and gives the rank at depth t for the rest.
+most t bits outright and gives the rank at depth t for the rest. A
+DescentTable is the same root table at a width the caller chooses.
 
 Rank conventions at depth d (1-based ranks over reversed path labels):
 leaves occupy ranks 1..leaves[d], internal nodes the rest; a node is a
@@ -17,6 +18,8 @@ affine shifts by leaves[d-1] and nodes[d]/2.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,12 +71,12 @@ class RevCanonCode:
 
         # t <= ceil(lg sigma) <= L, so every window fits in one peek
         self.t = ((sigma - 1).bit_length() + 1) // 2
-        self.root = self._root_table()
+        self.root = self._root_table(self.t)
 
-    def _root_table(self) -> list:
-        """The root table, filled in window order: a leaf of depth d <= t
-        fills its span of 2^(t-d) windows, an internal node at depth t one."""
-        t = self.t
+    def _root_table(self, t: int) -> list:
+        """The root table over t <= L bits, filled in window order: a leaf of
+        depth d <= t fills its span of 2^(t-d) windows, an internal node at
+        depth t one."""
         leaves = self.leaves
         half = self._half
         root: list = []
@@ -148,12 +151,20 @@ class RevCanonCode:
         first t of them: a codeword of at most t bits is returned with no
         descent and no select on D; otherwise the descent resumes by rank
         arithmetic at depth t. Then skips the bits the codeword used.
+        decode_fast takes the same walk through a DescentTable's root table.
         """
+        return self._descend(reader, self.t, self.root)
+
+    def decode_fast(self, table: "DescentTable", reader: BitReader) -> tuple[int, int]:
+        """decode() through the table's root table in place of the code's own."""
+        return self._descend(reader, table.t, table.root)
+
+    def _descend(self, reader: BitReader, t: int, root: list) -> tuple[int, int]:
+        """decode() from a root table over the first t <= L bits."""
         L = self.L
         width = L if L < 64 else 64
         chunk = reader.peek(width)
-        t = self.t
-        e = self.root[chunk >> (width - t)]
+        e = root[chunk >> (width - t)]
         if type(e) is tuple:
             if e[1] > reader.remaining:
                 raise TruncatedStream("truncated stream")
@@ -185,48 +196,6 @@ class RevCanonCode:
             chunk = reader.peek(width)
             top = width
 
-    def decode_fast(self, table: "DescentTable", reader: BitReader) -> tuple[int, int]:
-        """decode() accelerated by t-bit chunk jumps; identical output.
-
-        Peeks t bits per step. A rank above the chunk's threshold jumps
-        over all t; otherwise the walk steps over the same peeked bits one
-        at a time, then skips those it used.
-        """
-        if self.sigma == 1:
-            return (1, 0)
-        t = table.t
-        thr_max = table.thr_max
-        delta = table.delta
-        leaves = self.leaves
-        half = self._half
-        L = self.L
-        d = 0
-        r = 1
-        while True:
-            chunk = reader.peek(t)
-            rem = reader.remaining
-            if d < L and r > thr_max[d][chunk]:
-                # no leaf reachable within the next t bits for this rank
-                if t > rem:
-                    raise TruncatedStream("truncated stream")
-                reader.skip(t)
-                r += delta[d][chunk]
-                d += t
-                continue
-            for shift in range(t - 1, -1, -1):
-                if t - 1 - shift == rem:
-                    raise TruncatedStream("truncated stream")
-                d += 1
-                if d > L:
-                    raise InvalidCodeState("invalid code state")
-                r -= leaves[d - 1]
-                if (chunk >> shift) & 1:
-                    r += half[d]
-                if r <= leaves[d]:
-                    reader.skip(t - shift)
-                    return (self.D.select(d, r), d)
-            reader.skip(t)
-
     def codeword_set(self) -> list[tuple[int, int, int]]:
         """All (character, value, length) triples via encode()."""
         return [(i, *self.encode(i)) for i in range(1, self.sigma + 1)]
@@ -256,45 +225,18 @@ class RevCanonCode:
         return sum(self.size_breakdown().values())
 
 
-class DescentTable:
-    """Per-(depth, chunk) descent accelerator, held in plain lists.
+class DescentTable(NamedTuple):
+    """A code's root table (see RevCanonCode) at a width t the caller chose;
+    decode_fast descends through it."""
 
-    For every start depth d and t-bit chunk: delta[d][chunk] is the rank
-    shift accumulated by descending those t bits, and thr_max[d][chunk]
-    the largest start rank for which some prefix of the chunk can land on
-    a leaf. Ranks above the threshold jump t bits at once; ranks at or
-    below it fall back to the per-bit walk for at most t steps.
-    """
-
-    __slots__ = ("t", "thr_max", "delta")
-
-    def __init__(self, t: int, thr_max: list[list[int]], delta: list[list[int]]):
-        self.t = t
-        self.thr_max = thr_max
-        self.delta = delta
-
-
-_BIG = 1 << 60
+    t: int
+    root: list
 
 
 def build_descent_table(code: RevCanonCode, t: int) -> DescentTable:
+    """The code's root table at width min(t, L), 1 <= t <= 16: a window wider
+    than L holds only the same leaves, and the capped one fits in one peek."""
     if not 1 <= t <= 16:
         raise ValueError(f"chunk width out of range: {t}")
-    nchunks = 1 << t
-    chunks = np.arange(nchunks, dtype=np.int64)
-    thr_list: list[list[int]] = []
-    delta_list: list[list[int]] = []
-    for d0 in range(code.L):
-        delta = np.zeros(nchunks, dtype=np.int64)
-        thr = np.full(nchunks, -_BIG, dtype=np.int64)
-        if d0 + t > code.L:
-            thr = np.full(nchunks, _BIG, dtype=np.int64)  # always take the slow path
-        else:
-            for k in range(1, t + 1):
-                d = d0 + k
-                bit = (chunks >> (t - k)) & 1
-                delta += -code.leaves[d - 1] + bit * code._half[d]
-                np.maximum(thr, code.leaves[d] - delta, out=thr)
-        thr_list.append(thr.tolist())
-        delta_list.append(delta.tolist())
-    return DescentTable(t, thr_list, delta_list)
+    t = min(t, code.L)
+    return DescentTable(t, code._root_table(t))

@@ -74,8 +74,12 @@ class TableCode:
         return (np.array(self._enc_v, dtype=np.uint64),
                 np.array(self._enc_l, dtype=np.int64))
 
-    def model_size_bits(self) -> int:
-        """Accounted size: sigma*L for encoding plus sigma*(L + ceil(lg sigma))
-        for the per-length decoding tables."""
+    def size_breakdown(self) -> dict[str, int]:
+        """Accounted bits per component: sigma*L for encoding and
+        sigma*(L + ceil(lg sigma)) for the per-length decoding tables."""
         lg_sigma = (self.sigma - 1).bit_length()
-        return self.sigma * self.max_len + self.sigma * (self.max_len + lg_sigma)
+        return {"encode": self.sigma * self.max_len,
+                "decode": self.sigma * (self.max_len + lg_sigma)}
+
+    def model_size_bits(self) -> int:
+        return sum(self.size_breakdown().values())

@@ -126,6 +126,35 @@ def test_file_commands_build_no_bitvector(tmp_path, monkeypatch, rng):
         assert run(["analyze", str(src), "--family", codec]) == EXIT_OK
 
 
+def test_encode_computes_codewords_once(tmp_path, monkeypatch, rng):
+    """The codec's codeword arrays also validate the depths the container stores."""
+    from ncpc import cli, corpus
+    from ncpc.corpus import container_write, family_codewords, family_depths
+
+    calls = []
+
+    def counted(family, depths):
+        calls.append(family)
+        return family_codewords(family, depths)
+
+    monkeypatch.setattr(corpus, "family_codewords", counted)
+    monkeypatch.setattr(cli, "family_codewords", counted)
+    syms = rng.zipf(1.3, 5000).astype(np.uint8)
+    src = tmp_path / "src.bin"
+    src.write_bytes(syms.tobytes())
+    for codec in ("wmm", "alpha"):
+        enc = tmp_path / f"{codec}.ncp"
+        calls.clear()
+        assert run(["encode", str(src), str(enc), "--codec", codec]) == EXIT_OK
+        assert len(calls) == 1
+        # the same bytes as the validating writer
+        seq = cli._sequence_for_encode(src.read_bytes(), "bytes")
+        family = corpus.FAMILY_BY_NAME[codec]
+        depths = family_depths(family, seq.smoothed_freqs())
+        payload, _ = SequenceCodec(*family_codewords(family, depths)).encode(seq.symbols)
+        assert enc.read_bytes() == container_write(depths, family, payload, seq.n)
+
+
 def test_decode_refuses_noncanonical_payload(tmp_path, capsys):
     from ncpc.alphabetic import alphabetic_codewords
     from ncpc.corpus import FAMILY_ALPHA, container_write

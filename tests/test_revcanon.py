@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,15 +270,16 @@ def pack_codewords(code, chars) -> tuple[bytes, int]:
     return w.getvalue(), w.bit_length
 
 
-def assert_decodes_like_per_bit(code, data: bytes, nbits: int) -> None:
-    """decode and the per-bit oracle agree on every codeword of the stream,
-    and on each of its last 80 cuts: same result, same reader position
-    after each codeword, same exception type."""
+def assert_decodes_like_per_bit(code, decode, data: bytes, nbits: int) -> None:
+    """decode (a function of the reader, such as code.decode) and the
+    per-bit oracle agree on every codeword of the stream, and on each of
+    its last 80 cuts: same result, same reader position after each
+    codeword, same exception type."""
     fast, slow = BitReader(data, nbits), BitReader(data, nbits)
     starts = []
     while slow.remaining:
         starts.append(slow.tell())
-        assert code.decode(fast) == revcanon_decode_per_bit(code, slow)
+        assert decode(fast) == revcanon_decode_per_bit(code, slow)
         assert fast.tell() == slow.tell()
     for cut in range(max(0, nbits - 80), nbits):
         fast, slow = BitReader(data, cut), BitReader(data, cut)
@@ -287,9 +290,9 @@ def assert_decodes_like_per_bit(code, data: bytes, nbits: int) -> None:
             want = revcanon_decode_per_bit(code, slow)
         except NcpcError as e:
             with pytest.raises(type(e)):
-                code.decode(fast)
+                decode(fast)
         else:
-            assert code.decode(fast) == want
+            assert decode(fast) == want
         assert fast.tell() == slow.tell()
 
 
@@ -319,6 +322,8 @@ def test_root_table_width_and_entries(rng):
                 assert e == want[w]
         assert code.size_breakdown()["root"] == (1 << t) * (
             int(np.ceil(np.log2(t + 2))) + int(np.ceil(np.log2(sigma + 1))))
+        # a descent table at the code's own width is the code's root table
+        assert build_descent_table(code, max(t, 1)).root == code.root
 
 
 def test_decode_matches_per_bit_descent_random_codes(rng):
@@ -326,16 +331,40 @@ def test_decode_matches_per_bit_descent_random_codes(rng):
         for weights in tie_heavy_weight_cases(rng, 5, sigma_max=sigma, sigma_min=sigma):
             code = RevCanonCode(huffman_lengths(weights))
             msg = rng.integers(1, sigma + 1, 150).tolist()
-            assert_decodes_like_per_bit(code, *pack_codewords(code, msg))
+            assert_decodes_like_per_bit(code, code.decode, *pack_codewords(code, msg))
             # every character once, the longest codewords last
             order = sorted(range(1, sigma + 1), key=lambda c: code.depths[c - 1])
-            assert_decodes_like_per_bit(code, *pack_codewords(code, order))
+            assert_decodes_like_per_bit(code, code.decode, *pack_codewords(code, order))
 
 
 def test_decode_matches_per_bit_descent_past_one_peek():
     code = RevCanonCode(list(range(1, 70)) + [69])
     msg = [70, 1, 69, 35, 64, 65, 2, 70, 3, 4, 5]
-    assert_decodes_like_per_bit(code, *pack_codewords(code, msg))
+    assert_decodes_like_per_bit(code, code.decode, *pack_codewords(code, msg))
+
+
+def test_decode_fast_matches_per_bit_descent_at_every_width(rng):
+    """A descent table of any width 1..16, capped at L, decodes as the
+    per-bit oracle does: sigma = 1, t > L, codewords past one peek, cuts."""
+    code = RevCanonCode([0])
+    for t in range(1, 17):
+        table = build_descent_table(code, t)
+        assert (table.t, table.root) == (0, [(1, 0)])
+        fast, slow = BitReader(b"", 0), BitReader(b"", 0)
+        assert code.decode_fast(table, fast) == revcanon_decode_per_bit(code, slow) == (1, 0)
+    for lengths in ([1, 1], FIVE, list(range(1, 70)) + [69],
+                    huffman_lengths(gen_zipf(50_000, 4096, 1.0, 3).smoothed_freqs())):
+        code = RevCanonCode(lengths)
+        sigma = code.sigma
+        msg = rng.integers(1, sigma + 1, 150).tolist()
+        order = sorted(range(1, sigma + 1), key=lambda c: code.depths[c - 1])
+        streams = [pack_codewords(code, msg), pack_codewords(code, order)]
+        for t in range(1, 17):
+            table = build_descent_table(code, t)
+            assert table.t == min(t, code.L)
+            decode = functools.partial(code.decode_fast, table)
+            for data, nbits in streams:
+                assert_decodes_like_per_bit(code, decode, data, nbits)
 
 
 def test_stream_ending_inside_the_root_window():
@@ -527,4 +556,6 @@ def test_model_bits_pinned_on_zipf_4096():
     code = RevCanonCode(huffman_lengths(freqs), shape="huffman")
     assert code.size_breakdown() == {"D": 17746, "leaves": 247, "root": 1024}
     assert code.model_size_bits() == 19017
-    assert build_alphabetic_code(freqs).model_size_bits() == 22667
+    alpha = build_alphabetic_code(freqs)
+    assert alpha.size_breakdown() == {"B": 6016, "S": 6923, "A": 9728}
+    assert alpha.model_size_bits() == 22667

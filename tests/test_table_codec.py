@@ -89,6 +89,7 @@ def test_model_size_accounting():
         tc = TableCode.from_code(code)
         L = tc.max_len
         lg = (sigma - 1).bit_length()
+        assert tc.size_breakdown() == {"encode": sigma * L, "decode": sigma * (L + lg)}
         assert tc.model_size_bits() == sigma * L + sigma * (L + lg)
         assert tc.model_size_bits() >= sigma * L + sigma * (L + lg)
         assert tc.model_size_bits() > code.model_size_bits()
