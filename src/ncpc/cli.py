@@ -146,6 +146,8 @@ def cmd_decode(args) -> int:
     blob = _read_input(args.input)
     cont = container_read(blob)
     raw = cont.payload_bytes
+    if cont.sigma == 1:
+        return _decode_one_symbol(cont.n, raw, args)
     symbols = SequenceCodec(*cont.codewords).decode(raw, cont.n, 8 * len(raw))
     used = int(cont.codewords[1][symbols - 1].sum())  # payload bits the codewords fill
     if len(raw) != (used + 7) // 8 or (used % 8 and raw[-1] & (0xFF >> used % 8)):
@@ -158,6 +160,21 @@ def cmd_decode(args) -> int:
         out = (symbols.astype("<u4") - 1).tobytes()
     with open(args.output, "wb") as f:
         f.write(out)
+    return EXIT_OK
+
+
+def _decode_one_symbol(n: int, raw: bytes, args) -> int:
+    """cmd_decode for sigma = 1: every codeword is empty, so the payload is
+    too and the output is n zero values. It is written in fixed-size chunks,
+    since n comes from the header and nothing else bounds it."""
+    if raw:
+        raise ContainerError("payload has trailing bytes or nonzero pad bits")
+    chunk = bytes(1 << 16)
+    full, rest = divmod(n * (1 if args.mode == "bytes" else 4), len(chunk))
+    with open(args.output, "wb") as f:
+        for _ in range(full):
+            f.write(chunk)
+        f.write(chunk[:rest])
     return EXIT_OK
 
 
@@ -309,18 +326,20 @@ def _selftest_checks(corrupt_leaves: bool):
     rng = np.random.default_rng(7)
 
     def bitvector_oracle():
-        bits = (rng.random(800) < 0.4).astype(np.uint8)
+        # a length that ends inside a byte, so the last byte is padded
+        bits = (rng.random(803) < 0.4).astype(np.uint8)
         bv = Bitvector(bits, select_sample=16)
         acc = 0
-        ones = []
+        ones, zeros = [], []
         for i, b in enumerate(bits.tolist(), 1):
             acc += b
             assert bv.rank1(i) == acc
             assert bv.access(i) == b
-            if b:
-                ones.append(i)
+            (ones if b else zeros).append(i)
         for r, p in enumerate(ones, 1):
             assert bv.select1(r) == p
+        for r, p in enumerate(zeros, 1):
+            assert bv.select0(r) == p
 
     def bitvector_empty():
         bv = Bitvector("")

@@ -3,10 +3,15 @@
 The bitvector is plain (uncompressed) with a two-level rank directory,
 accounted as one absolute count per 512-bit superblock and one relative
 count per 64-bit block, i.e. 64 + 8*16 bits of directory per 512 bits of
-data (37.5% overhead). It is stored pre-added: the absolute number of
-ones before every 64-bit word, and the zeros derived from it, each an O(1)
-function of two accounted entries. So rank reads one entry, and each
-select is one bisect over one list plus a select in the word found.
+data (37.5% overhead). The data is stored as bytes and the directory
+pre-added per byte: the number of ones before every byte, and the number
+of zeros that follows from it. Each such count is an accounted
+superblock count plus a block count plus the popcount of at most 56 data
+bits (the bytes before it in its 64-bit block), an O(1) function of
+accounted entries, so the accounted size is the two-level directory's.
+Rank reads one count and pops at most 7 bits; each select is one bisect
+over one count list plus one lookup in a 256-entry table of in-byte
+positions.
 With a select sample s, select1 bisects only between the sampled
 positions of every s-th 1-bit; the sampling rate trades speed for space
 and never changes results. Without one, select1 bisects the whole
@@ -22,8 +27,10 @@ import numpy as np
 from .codewords import huffman_lengths, revcanon_codewords
 from .errors import NoSuchOccurrence
 
-_WORD = (1 << 64) - 1
-_SEL8 = [[i for i in range(8) if b >> i & 1] for b in range(256)]
+# _SEL8[b][k] / _SEL0[b][k]: 0-based position of the k-th (1-based) 1-bit
+# / 0-bit of byte b, bits numbered from the least significant
+_SEL8 = [[None] + [i for i in range(8) if b >> i & 1] for b in range(256)]
+_SEL0 = _SEL8[::-1]
 
 
 def _as_bit_array(bits) -> np.ndarray:
@@ -44,7 +51,7 @@ class Bitvector:
     select_sample=None stores no select samples.
     """
 
-    __slots__ = ("n_bits", "ones", "select_sample", "_words", "_ranks",
+    __slots__ = ("n_bits", "ones", "select_sample", "_bytes", "_ranks",
                  "_zranks", "_samples")
 
     def __init__(self, bits, select_sample: int | None = 64) -> None:
@@ -56,22 +63,15 @@ class Bitvector:
         self.n_bits = n
         self.select_sample = select_sample
 
-        nwords = (n + 63) // 64
-        padded = np.zeros(nwords * 64, dtype=np.uint8)
-        padded[:n] = arr
-        if nwords:
-            words = np.packbits(padded, bitorder="little").view("<u8")
-        else:
-            words = np.zeros(0, dtype="<u8")
-        pop = np.bitwise_count(words).astype(np.int64)
-        cum = np.concatenate(([0], np.cumsum(pop)))  # ones before word j
+        data = np.packbits(arr, bitorder="little")  # the last byte zero-padded
+        cum = np.concatenate(([0], np.cumsum(np.bitwise_count(data), dtype=np.int64)))
         self.ones = int(cum[-1])
-        # ones and zeros before word j, j = 0..nwords. The zeros count the
-        # padding after the last bit only at j = nwords; it follows every
+        # ones and zeros before byte j, j = 0..nbytes. The zeros count the
+        # padding after the last bit only at j = nbytes; it follows every
         # real 0-bit, so the r-th zero is still a real one.
-        self._words = words.tolist()
+        self._bytes = data.tobytes()
         self._ranks = cum.tolist()
-        self._zranks = ((np.arange(nwords + 1) << 6) - cum).tolist()
+        self._zranks = ((np.arange(data.size + 1) << 3) - cum).tolist()
 
         # 0-based positions of every select_sample-th 1-bit
         self._samples = (np.flatnonzero(arr)[0::select_sample].tolist()
@@ -82,16 +82,16 @@ class Bitvector:
     def access(self, i: int) -> int:
         if not 1 <= i <= self.n_bits:
             raise IndexError(f"position out of range: {i}")
-        return (self._words[(i - 1) >> 6] >> ((i - 1) & 63)) & 1
+        return (self._bytes[(i - 1) >> 3] >> ((i - 1) & 7)) & 1
 
     def rank1(self, i: int) -> int:
         """Number of 1s in positions 1..i (i may be 0..n_bits)."""
         if not 0 <= i <= self.n_bits:
             raise IndexError(f"rank position out of range: {i}")
-        j = i >> 6
+        j = i >> 3
         c = self._ranks[j]
-        if i & 63:
-            c += (self._words[j] & ((1 << (i & 63)) - 1)).bit_count()
+        if i & 7:
+            c += (self._bytes[j] & ((1 << (i & 7)) - 1)).bit_count()
         return c
 
     def rank0(self, i: int) -> int:
@@ -101,29 +101,30 @@ class Bitvector:
         """1-based position of the r-th 1-bit."""
         if not 1 <= r <= self.ones:
             raise ValueError(f"select1 rank out of range: {r}")
+        ranks = self._ranks
         samples = self._samples
         if samples:
-            # the sampled 1-bits before and after the r-th bound its word
+            # the sampled 1-bits before and after the r-th bound its byte
             k = (r - 1) // self.select_sample
-            hi = (samples[k + 1] >> 6) + 1 if k + 1 < len(samples) else len(self._words)
-            j = bisect_left(self._ranks, r, samples[k] >> 6, hi) - 1
+            hi = (samples[k + 1] >> 3) + 1 if k + 1 < len(samples) else len(self._bytes)
+            j = bisect_left(ranks, r, samples[k] >> 3, hi) - 1
         else:
-            j = bisect_left(self._ranks, r) - 1
-        return (j << 6) + _select_in_word(self._words[j], r - self._ranks[j]) + 1
+            j = bisect_left(ranks, r) - 1
+        return (j << 3) + _SEL8[self._bytes[j]][r - ranks[j]] + 1
 
     def select0(self, r: int) -> int:
         """1-based position of the r-th 0-bit."""
         if not 1 <= r <= self.n_bits - self.ones:
             raise ValueError(f"select0 rank out of range: {r}")
-        j = bisect_left(self._zranks, r) - 1
-        word = ~self._words[j] & _WORD
-        return (j << 6) + _select_in_word(word, r - self._zranks[j]) + 1
+        zranks = self._zranks
+        j = bisect_left(zranks, r) - 1
+        return (j << 3) + _SEL0[self._bytes[j]][r - zranks[j]] + 1
 
     # -- accounting ------------------------------------------------------
 
     def directory_bits(self) -> int:
         """Accounted rank directory size: 64 bits per superblock, 16 per block."""
-        nwords = len(self._words)
+        nwords = (self.n_bits + 63) >> 6
         return 64 * (nwords // 8 + 1) + 16 * nwords
 
     def select_sample_bits(self) -> int:
@@ -131,31 +132,6 @@ class Bitvector:
 
     def size_bits(self) -> int:
         return self.n_bits + self.directory_bits() + self.select_sample_bits()
-
-
-def _select_in_word(word: int, k: int) -> int:
-    """0-based position of the k-th (1-based) set bit of a 64-bit word.
-
-    Halves the word down to the byte that holds the bit, then looks the
-    bit up in that byte.
-    """
-    pos = 0
-    c = (word & 0xFFFFFFFF).bit_count()
-    if c < k:
-        k -= c
-        word >>= 32
-        pos = 32
-    c = (word & 0xFFFF).bit_count()
-    if c < k:
-        k -= c
-        word >>= 16
-        pos += 16
-    c = (word & 0xFF).bit_count()
-    if c < k:
-        k -= c
-        word >>= 8
-        pos += 8
-    return pos + _SEL8[word & 0xFF][k - 1]
 
 
 class WaveletTree:
@@ -238,12 +214,12 @@ class WaveletTree:
         # and per codeword length ln, the first ln levels top-down for rank
         # and bottom-up for select.
         levels = self._levels
-        self._access_walk = tuple((bv._words, bv._ranks, zeros, ended, leaf)
+        self._access_walk = tuple((bv._bytes, bv._ranks, zeros, ended, leaf)
                                   for bv, zeros, _, ended, leaf in levels)
-        self._rank_walks = tuple(tuple((bv._words, bv._ranks, zeros, dropped)
+        self._rank_walks = tuple(tuple((bv._bytes, bv._ranks, zeros, dropped)
                                        for bv, zeros, dropped, _, _ in levels[:ln])
                                  for ln in range(self.height + 1))
-        self._select_walks = tuple(tuple((bv._words, bv._ranks, bv._zranks, zeros, dropped)
+        self._select_walks = tuple(tuple((bv._bytes, bv._ranks, bv._zranks, zeros, dropped)
                                          for bv, zeros, dropped, _, _ in reversed(levels[:ln]))
                                    for ln in range(self.height + 1))
 
@@ -253,10 +229,10 @@ class WaveletTree:
             raise IndexError(f"position out of range: {i}")
         p = i - 1           # 0-based position among the entries at this level
         v = 0               # codeword bits read so far
-        for words, ranks, zeros, ended, leaf in self._access_walk:
-            word = words[p >> 6]
-            ones = ranks[p >> 6] + (word & ((1 << (p & 63)) - 1)).bit_count()  # bv.rank1(p)
-            if (word >> (p & 63)) & 1:
+        for data, ranks, zeros, ended, leaf in self._access_walk:
+            byte = data[p >> 3]
+            ones = ranks[p >> 3] + (byte & ((1 << (p & 7)) - 1)).bit_count()  # bv.rank1(p)
+            if (byte >> (p & 7)) & 1:
                 v = (v << 1) | 1
                 q = zeros + ones
             else:
@@ -283,11 +259,11 @@ class WaveletTree:
         val, ln, start, _ = code
         q = i
         shift = ln
-        for words, ranks, zeros, dropped in self._rank_walks[ln]:
+        for data, ranks, zeros, dropped in self._rank_walks[ln]:
             p = q - dropped
-            ones = ranks[p >> 6]    # bv.rank1(p), inlined
-            if p & 63:
-                ones += (words[p >> 6] & ((1 << (p & 63)) - 1)).bit_count()
+            ones = ranks[p >> 3]    # bv.rank1(p), inlined
+            if p & 7:
+                ones += (data[p >> 3] & ((1 << (p & 7)) - 1)).bit_count()
             shift -= 1
             q = zeros + ones if (val >> shift) & 1 else p - ones
         return q - start
@@ -303,36 +279,16 @@ class WaveletTree:
             raise NoSuchOccurrence(f"no occurrence {r} of symbol {c}")
         val, ln, start, _ = code
         q = start + r - 1   # 0-based position among the entries at level ln
-        # up from the level where the codeword ends: bv.select1/select0 and
-        # _select_in_word, inlined
-        for words, ranks, zranks, zeros, dropped in self._select_walks[ln]:
+        # up from the level where the codeword ends: bv.select1/select0, inlined
+        for data, ranks, zranks, zeros, dropped in self._select_walks[ln]:
             if val & 1:     # the k-th 1-bit
                 k = q - zeros + 1
                 j = bisect_left(ranks, k) - 1
-                word = words[j]
-                k -= ranks[j]
+                q = (j << 3) + dropped + _SEL8[data[j]][k - ranks[j]]
             else:           # the k-th 0-bit
                 k = q + 1
                 j = bisect_left(zranks, k) - 1
-                word = ~words[j] & _WORD
-                k -= zranks[j]
-            q = (j << 6) + dropped
-            c = (word & 0xFFFFFFFF).bit_count()
-            if c < k:
-                k -= c
-                word >>= 32
-                q += 32
-            c = (word & 0xFFFF).bit_count()
-            if c < k:
-                k -= c
-                word >>= 16
-                q += 16
-            c = (word & 0xFF).bit_count()
-            if c < k:
-                k -= c
-                word >>= 8
-                q += 8
-            q += _SEL8[word & 0xFF][k - 1]
+                q = (j << 3) + dropped + _SEL0[data[j]][k - zranks[j]]
             val >>= 1
         return q + 1
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncpc.succinct import Bitvector, _select_in_word
+from ncpc.succinct import _SEL0, _SEL8, Bitvector
 
 
 def scan_check(bv: Bitvector, bits: list[int]) -> None:
@@ -119,7 +119,8 @@ def test_accounting_is_the_two_level_formula(n, rng):
     assert bv.size_bits() == n + directory + 64 * -(-int(bits.sum()) // 16)
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 511, 512, 513, 4095, 4096, 4097])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 17, 63, 64, 65, 511, 512, 513,
+                               4095, 4096, 4097])
 def test_word_and_superblock_boundaries_against_scan_oracle(n, rng):
     for bits in (np.zeros(n, dtype=np.uint8), (rng.random(n) < 0.5).astype(np.uint8),
                  np.ones(n, dtype=np.uint8)):
@@ -127,9 +128,12 @@ def test_word_and_superblock_boundaries_against_scan_oracle(n, rng):
             scan_check(Bitvector(bits, select_sample=s), bits.tolist())
 
 
-def test_select_in_word_against_scan(rng):
-    words = [2**64 - 1, 1, 1 << 63] + [int(w) for w in rng.integers(0, 2**64, 200, dtype=np.uint64)]
-    for w in words:
-        ones = [p for p in range(64) if w >> p & 1]
-        for k, p in enumerate(ones, 1):
-            assert _select_in_word(w, k) == p
+def test_select_tables_against_scan():
+    """_SEL8[b][k] and _SEL0[b][k] are the k-th 1-bit and 0-bit of byte b,
+    for all 256 bytes and every k from 1 to the byte's count."""
+    for b in range(256):
+        ones = [p for p in range(8) if b >> p & 1]
+        zeros = [p for p in range(8) if not b >> p & 1]
+        assert [_SEL8[b][k] for k in range(1, len(ones) + 1)] == ones
+        assert [_SEL0[b][k] for k in range(1, len(zeros) + 1)] == zeros
+        assert len(_SEL8[b]) == len(ones) + 1 and len(_SEL0[b]) == len(zeros) + 1

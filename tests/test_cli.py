@@ -299,6 +299,33 @@ def test_decode_refuses_n_beyond_the_payload(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_decode_one_symbol_memory_does_not_follow_n(tmp_path, capsys):
+    """A sigma = 1 container stores no payload, so nothing bounds its n but
+    the header: decode writes the n zero values without holding them."""
+    import tracemalloc
+
+    from ncpc.corpus import FAMILY_WMM, container_write
+    n = 1 << 22
+    enc = tmp_path / "one.ncp"
+    enc.write_bytes(container_write([0], FAMILY_WMM, b"", n))
+    out = tmp_path / "one.out"
+    tracemalloc.start()
+    try:
+        assert run(["decode", str(enc), str(out), "--mode", "u32le"]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20       # the output is 16 MiB
+    assert out.stat().st_size == 4 * n
+    with open(out, "rb") as f:
+        while chunk := f.read(1 << 16):
+            assert not chunk.strip(b"\0")
+    # the payload checks still hold: no byte may follow the empty codewords
+    enc.write_bytes(container_write([0], FAMILY_WMM, b"\0", n))
+    assert run(["decode", str(enc), str(out)]) == EXIT_DATA
+    assert "trailing" in capsys.readouterr().err
+
+
 def test_bench_wmm_model_smaller_than_table(capsys):
     assert run(["bench", "--zipf", "30000,1024,1.0", "--codecs", "wmm,table",
                 "--select-samples", "64", "--time-symbols", "500"]) == EXIT_OK

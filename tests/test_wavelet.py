@@ -180,3 +180,17 @@ def test_deep_huffman_shape_against_scan_oracle(rng):
         before = np.concatenate(([0], np.cumsum(arr == c)))
         for i in range(0, len(seq) + 1, 7):
             assert wt.rank(c, i) == before[i]
+
+
+def test_level_sizes_off_byte_boundaries_against_scan_oracle(rng):
+    """Halving counts give a matrix six levels high, shaped by the counts or
+    by weights, whose every level ends inside a byte."""
+    counts = [101, 50, 27, 14, 7, 3, 1]
+    seq = np.repeat(np.arange(1, 8), counts)
+    rng.shuffle(seq)
+    seq = seq.tolist()
+    for weights in (None, [1, 2, 3, 4, 5, 6, 7]):
+        wt = WaveletTree(seq, 7, weights)
+        sizes = [bv.n_bits for bv, *_ in wt._levels]
+        assert sizes and all(s % 8 for s in sizes), sizes
+        scan_check(wt, seq, 7)
