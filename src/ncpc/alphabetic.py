@@ -5,12 +5,15 @@ fully described by its leaf-depth profile. The builder finds a
 minimum-cost ordered tree (Garsia-Wachs), restricts its height when
 needed, then completely balances every subtree rooted at a cutoff depth.
 The balanced shape admits an arithmetic encoder/decoder over three small
-structures:
+structures, which CompactAlphabeticCode builds from the depths in one scan
+of the cutoff runs:
 
   B  marker bitvector over the alphabet (1 = shallow leaf or leftmost
      leaf of a subtree rooted at the cutoff depth),
-  S  explicit codewords for the marked positions, indexed by rank1(B),
-  A  dispatch table indexed by the first `cutoff` bits of the stream.
+  S  (value, length) codewords of the marked positions, indexed by rank1(B),
+  A  dispatch table indexed by the first `cutoff` bits of the stream: the
+     (character, length) of a shallow leaf, or the int leftmost character
+     of a balanced subtree.
 """
 
 from __future__ import annotations
@@ -247,6 +250,24 @@ def balanced_run_depths(r: int) -> list[int]:
     return [h] * deep + [h - 1] * ((1 << h) - r)
 
 
+def _cutoff_runs(profile: DepthProfile, cutoff: int):
+    """(i, j) for each leaf i of depth <= cutoff (j = i + 1), and for each
+    maximal run i..j-1 of deeper leaves sharing a cutoff-bit codeword prefix."""
+    depths = profile.depths
+    cws = profile.codewords()
+    sigma = len(depths)
+    i = 0
+    while i < sigma:
+        v, d = cws[i]
+        j = i + 1
+        if d > cutoff:
+            prefix = v >> (d - cutoff)
+            while j < sigma and depths[j] > cutoff and (cws[j][0] >> (depths[j] - cutoff)) == prefix:
+                j += 1
+        yield i, j
+        i = j
+
+
 def balance_at_cutoff(profile: DepthProfile, cutoff: int) -> DepthProfile:
     """Completely balance every maximal subtree rooted at depth `cutoff`.
 
@@ -257,107 +278,108 @@ def balance_at_cutoff(profile: DepthProfile, cutoff: int) -> DepthProfile:
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     depths = profile.depths
-    cws = profile.codewords()
     out: list[int] = []
-    i = 0
-    sigma = len(depths)
-    while i < sigma:
-        d = depths[i]
-        if d <= cutoff:
-            out.append(d)
-            i += 1
-            continue
-        prefix = cws[i][0] >> (d - cutoff)
-        j = i + 1
-        while j < sigma and depths[j] > cutoff and (cws[j][0] >> (depths[j] - cutoff)) == prefix:
-            j += 1
-        out.extend(cutoff + rd for rd in balanced_run_depths(j - i))
-        i = j
+    for i, j in _cutoff_runs(profile, cutoff):
+        if depths[i] <= cutoff:
+            out.append(depths[i])
+        else:
+            out.extend(cutoff + rd for rd in balanced_run_depths(j - i))
     return DepthProfile(tuple(out))
 
 
 # -- compiled representation ----------------------------------------------
 
 class CompactAlphabeticCode:
-    """Alphabetic code compiled to the B/S/A form.
+    """Alphabetic code compiled to the B/S/A form, built from a
+    cutoff-balanced profile.
+
+    B marks each shallow leaf and the leftmost leaf of each subtree rooted
+    at the cutoff depth. S lists the marked characters' codewords as
+    (value, length), in alphabet order. A has one entry per cutoff-bit
+    prefix: the (character, length) of the shallow leaf the prefix starts,
+    or the int leftmost character of the balanced subtree rooted there.
+    sigma = 1 is the one-leaf tree: B = "1", S = [(0, 0)], A = [(1, 0)].
 
     encode and decode perform a constant number of rank/select calls plus
     arithmetic on the completely balanced subtrees; no code table of size
     sigma is stored beyond the marker structures.
     """
 
-    def __init__(self, depths: tuple[int, ...], sigma: int, cutoff: int,
-                 height_cap: int, B: Bitvector, s_vals: list[int],
-                 s_lens: list[int], a_char: list[int], a_len: list[int]):
+    def __init__(self, profile: DepthProfile, select_sample: int = 64):
+        sigma = profile.sigma
+        cutoff, cap = (cutoff_for(sigma), height_cap_for(sigma)) if sigma > 1 else (0, 0)
+        if profile.height > cap:
+            raise ValueError(f"profile height {profile.height} exceeds cap {cap}")
+        depths = profile.depths
+        cws = profile.codewords()
+        bbits = np.zeros(sigma, dtype=np.uint8)
+        S: list[tuple[int, int]] = []
+        A: list = [None] * (1 << cutoff)
+        covered = 0
+        for i, j in _cutoff_runs(profile, cutoff):
+            v, d = cws[i]
+            bbits[i] = 1
+            S.append(cws[i])
+            if d <= cutoff:
+                span = 1 << (cutoff - d)
+                A[v * span:(v + 1) * span] = [(i + 1, d)] * span
+                covered += span
+                continue
+            if [depths[k] - cutoff for k in range(i, j)] != balanced_run_depths(j - i):
+                raise KraftViolation("subtree below the cutoff is not completely balanced")
+            A[v >> (d - cutoff)] = i + 1  # leftmost leaf position i' (1-based)
+            covered += 1
+        if covered != 1 << cutoff:
+            raise KraftViolation("dispatch table not fully populated")
         self.sigma = sigma
         self.cutoff = cutoff
-        self.height_cap = height_cap
+        self.height_cap = cap
         self.depths = depths
-        self.B = B
-        self._s_vals = s_vals
-        self._s_lens = s_lens
-        self._a_char = a_char
-        self._a_len = a_len
+        self.B = Bitvector(bbits, select_sample)
+        self.S = S
+        self.A = A
         self._arrays = None
-
-    # S and A exposed read-only for tests and size accounting
-    @property
-    def S(self) -> list[tuple[int, int]]:
-        return list(zip(self._s_vals, self._s_lens))
-
-    @property
-    def A(self) -> list[tuple[str, int, int]]:
-        return [("leaf", c, ln) if ln else ("subtree", c, 0)
-                for c, ln in zip(self._a_char, self._a_len)]
 
     def encode(self, i: int) -> tuple[int, int]:
         if not 1 <= i <= self.sigma:
             raise IndexError(f"character out of range: {i}")
-        if self.sigma == 1:
-            return (0, 0)
         B = self.B
         j = B.rank1(i)
         if B.access(i):
-            return (self._s_vals[j - 1], self._s_lens[j - 1])
+            return self.S[j - 1]
         ip = B.select1(j)
         ipp = B.select1(j + 1) if j < B.ones else self.sigma + 1
         r = ipp - ip
         h = (r - 1).bit_length()
         off = i - ip
         deep = 2 * r - (1 << h)
-        base = self._s_vals[j - 1]
+        base = self.S[j - 1][0]
         if off < deep:
             return (base + off, self.cutoff + h)
         return (base // 2 + off - (r - (1 << (h - 1))), self.cutoff + h - 1)
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
-        if self.sigma == 1:
-            return (1, 0)
-        if reader.remaining == 0:
-            raise TruncatedStream("truncated stream")
-        j = reader.peek(self.cutoff)
-        ln = self._a_len[j]
-        if ln:
+        e = self.A[reader.peek(self.cutoff)]
+        if type(e) is tuple:
             try:
-                reader.skip(ln)
+                reader.skip(e[1])
             except Underflow:
                 raise TruncatedStream("truncated stream") from None
-            return (self._a_char[j], ln)
-        ip = self._a_char[j]
+            return e
         B = self.B
-        rk = B.rank1(ip)
+        rk = B.rank1(e)
         ipp = B.select1(rk + 1) if rk < B.ones else self.sigma + 1
-        r = ipp - ip
+        r = ipp - e
         h = (r - 1).bit_length()
         jp = reader.peek(self.cutoff + h)
-        d = jp - self._s_vals[rk - 1]
+        d = jp - self.S[rk - 1][0]
         deep = 2 * r - (1 << h)
         try:
             if d < deep:
                 reader.skip(self.cutoff + h)
-                return (ip + d, self.cutoff + h)
+                return (e + d, self.cutoff + h)
             reader.skip(self.cutoff + h - 1)
-            return (ip + r - (1 << (h - 1)) + d // 2, self.cutoff + h - 1)
+            return (e + r - (1 << (h - 1)) + d // 2, self.cutoff + h - 1)
         except Underflow:
             raise TruncatedStream("truncated stream") from None
 
@@ -379,8 +401,8 @@ class CompactAlphabeticCode:
             return {"B": 8, "S": 0, "A": 0}
         hbits = max(1, self.height_cap.bit_length())
         return {"B": self.B.size_bits(),
-                "S": len(self._s_vals) * (self.height_cap + hbits),
-                "A": len(self._a_char) * (self.sigma.bit_length() + hbits + 1)}
+                "S": len(self.S) * (self.height_cap + hbits),
+                "A": len(self.A) * (self.sigma.bit_length() + hbits + 1)}
 
     def model_size_bits(self) -> int:
         return sum(self.size_breakdown().values())
@@ -391,59 +413,7 @@ def compile_code(profile: DepthProfile, sigma: int,
     """Compile a cutoff-balanced profile into the B/S/A representation."""
     if sigma != profile.sigma:
         raise ValueError("sigma does not match the profile")
-    if sigma == 1:
-        return CompactAlphabeticCode(profile.depths, 1, 0, 0, Bitvector("1", select_sample),
-                                     [0], [0], [1], [0])
-    cutoff = cutoff_for(sigma)
-    cap = height_cap_for(sigma)
-    if profile.height > cap:
-        raise ValueError(f"profile height {profile.height} exceeds cap {cap}")
-    cws = profile.codewords()
-    depths = profile.depths
-
-    bbits = np.zeros(sigma, dtype=np.uint8)
-    s_vals: list[int] = []
-    s_lens: list[int] = []
-    a_char = [0] * (1 << cutoff)
-    a_len = [0] * (1 << cutoff)
-    covered = 0
-
-    i = 0
-    while i < sigma:
-        v, d = cws[i]
-        if d <= cutoff:
-            bbits[i] = 1
-            s_vals.append(v)
-            s_lens.append(d)
-            lo = v << (cutoff - d)
-            hi = (v + 1) << (cutoff - d)
-            for j in range(lo, hi):
-                a_char[j] = i + 1
-                a_len[j] = d
-            covered += hi - lo
-            i += 1
-            continue
-        prefix = v >> (d - cutoff)
-        j = i + 1
-        while j < sigma and depths[j] > cutoff and (cws[j][0] >> (depths[j] - cutoff)) == prefix:
-            j += 1
-        r = j - i
-        rel = [depths[k] - cutoff for k in range(i, j)]
-        if rel != balanced_run_depths(r):
-            raise KraftViolation("subtree below the cutoff is not completely balanced")
-        bbits[i] = 1
-        s_vals.append(v)
-        s_lens.append(d)
-        a_char[prefix] = i + 1  # leftmost leaf position i' (1-based)
-        a_len[prefix] = 0
-        covered += 1
-        i = j
-
-    if covered != (1 << cutoff):
-        raise KraftViolation("dispatch table not fully populated")
-    B = Bitvector(bbits, select_sample)
-    return CompactAlphabeticCode(depths, sigma, cutoff, cap, B,
-                                 s_vals, s_lens, a_char, a_len)
+    return CompactAlphabeticCode(profile, select_sample)
 
 
 DP_SIGMA_MAX = 320  # largest alphabet routed through the height-restricted DP

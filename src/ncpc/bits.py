@@ -34,16 +34,6 @@ class BitWriter:
         self._acc = acc & ((1 << nacc) - 1)
         self._nacc = nacc
 
-    def pad_to_byte(self) -> None:
-        if self._nacc:
-            self.write(0, 8 - self._nacc)
-
-    def append_bytes(self, data: bytes) -> None:
-        """Splice pre-packed bytes; the cursor must sit on a byte boundary."""
-        if self._nacc:
-            raise ValueError("cannot splice bytes mid-byte")
-        self._bytes.extend(data)
-
     @property
     def bit_length(self) -> int:
         return len(self._bytes) * 8 + self._nacc

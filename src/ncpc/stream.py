@@ -13,8 +13,6 @@ import numpy as np
 from .codewords import MAX_CODEWORD_BITS
 from .errors import InvalidStream, KraftViolation, TruncatedStream
 
-_NUMPY_MIN = 2048  # below this, plain Python packing is faster
-
 
 class SequenceCodec:
     """Encode/decode whole symbol arrays for one prefix-free code."""
@@ -27,8 +25,6 @@ class SequenceCodec:
         self.min_len = int(self._lens.min()) if self.sigma else 0
         if self.max_len > MAX_CODEWORD_BITS:
             raise ValueError(f"codewords longer than {MAX_CODEWORD_BITS} bits")
-        self._vals_list = self._vals.tolist()
-        self._lens_list = self._lens.tolist()
 
         t = min(16, self.max_len)
         self._t = t
@@ -70,33 +66,8 @@ class SequenceCodec:
         arr = np.asarray(symbols, dtype=np.int64)
         if arr.size and (arr.min() < 1 or arr.max() > self.sigma):
             raise ValueError("symbol id out of range")
-        if self.max_len == 0:
+        if self.max_len == 0 or not arr.size:
             return (b"", 0)
-        if arr.size < _NUMPY_MIN:
-            return self._encode_py(arr.tolist())
-        return self._encode_np(arr)
-
-    def _encode_py(self, syms: list[int]) -> tuple[bytes, int]:
-        vals = self._vals_list
-        lens = self._lens_list
-        out = bytearray()
-        acc = 0
-        nacc = 0
-        nbits = 0
-        for s in syms:
-            l = lens[s - 1]
-            acc = (acc << l) | vals[s - 1]
-            nacc += l
-            nbits += l
-            while nacc >= 8:
-                nacc -= 8
-                out.append((acc >> nacc) & 0xFF)
-                acc &= (1 << nacc) - 1
-        if nacc:
-            out.append((acc << (8 - nacc)) & 0xFF)
-        return (bytes(out), nbits)
-
-    def _encode_np(self, arr: np.ndarray) -> tuple[bytes, int]:
         lens = self._lens[arr - 1]
         vals = self._vals[arr - 1]
         offs = np.zeros(arr.size, dtype=np.int64)

@@ -94,9 +94,6 @@ class Bitvector:
             c += (self._bytes[j] & ((1 << (i & 7)) - 1)).bit_count()
         return c
 
-    def rank0(self, i: int) -> int:
-        return i - self.rank1(i)
-
     def select1(self, r: int) -> int:
         """1-based position of the r-th 1-bit."""
         if not 1 <= r <= self.ones:
@@ -174,14 +171,14 @@ class WaveletTree:
         self.height = int(lens.max()) if lens.size else 0
 
         # Each symbol's occurrences form one block of the order at the depth
-        # where its codeword ends; blocks of one depth sort by reversed codeword.
+        # where its codeword ends; blocks of one depth sort by reversed
+        # codeword, which in a reverse-canonical code is symbol order.
         syms, vals, lens = syms.tolist(), vals.tolist(), lens.tolist()
-        keys = sorted((ln, int(format(v, f"0{ln}b")[::-1], 2) if ln else 0, s, v)
-                      for s, v, ln in zip(syms, vals, lens))
+        keys = sorted(zip(lens, syms, vals))
         self._codes: dict[int, tuple[int, int, int, int]] = {}   # (value, length, start, end)
         finished: list[dict[int, tuple[int, int]]] = [{} for _ in range(self.height + 1)]
         start, prev_ln = 0, -1
-        for ln, _, s, v in keys:
+        for ln, s, v in keys:
             if ln != prev_ln:
                 start, prev_ln = 0, ln
             end = start + int(counts[s])

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (TreeCodec, all_ordered_profiles, brute_optimal_cost,
-                      garsia_wachs_reference, optimal_depths_dp,
+from conftest import (TreeCodec, all_ordered_profiles, alphabetic_tables_brute,
+                      brute_optimal_cost, garsia_wachs_reference, optimal_depths_dp,
                       tie_heavy_weight_cases)
 from ncpc.alphabetic import (DepthProfile, balance_at_cutoff, balanced_run_depths,
                              build_alphabetic_code, build_height_restricted,
@@ -160,13 +160,31 @@ def test_compile_sigma4_B_S_A():
     code = compile_code(DepthProfile((2, 2, 2, 2)), 4)
     assert [code.B.access(i) for i in range(1, 5)] == [1, 0, 1, 0]
     assert code.S == [(0b00, 2), (0b10, 2)]
-    assert code.A == [("subtree", 1, 0), ("subtree", 3, 0)]
+    assert code.A == [1, 3]
 
 
 def test_compile_sigma1_degenerate():
     code = compile_code(DepthProfile((0,)), 1)
+    assert code.B.access(1) == 1 and code.B.n_bits == 1
+    assert code.S == [(0, 0)]
+    assert code.A == [(1, 0)]
+    assert alphabetic_tables_brute(code.depths, code.cutoff) == ([1], code.S, code.A)
     assert code.encode(1) == (0, 0)
-    assert code.decode(BitReader(b"", 0)) == (1, 0)
+    r = BitReader(b"", 0)
+    assert code.decode(r) == (1, 0)
+    assert r.tell() == 0
+    assert code.size_breakdown() == {"B": 8, "S": 0, "A": 0}
+
+
+def test_B_S_A_match_brute_force_oracle(rng):
+    sigmas = [2, 3, 600] + rng.integers(2, 601, 40).tolist()
+    codes = [build_alphabetic_code(rng.integers(1, 1000, s).tolist()) for s in sigmas]
+    codes.append(build_alphabetic_code(gen_zipf(200_000, 4096, 1.0, 1).smoothed_freqs()))
+    for code in codes:
+        B, S, A = alphabetic_tables_brute(code.depths, code.cutoff)
+        assert [code.B.access(i) for i in range(1, code.sigma + 1)] == B
+        assert code.S == S
+        assert code.A == A
 
 
 def test_compile_rejects_unbalanced_subtree():

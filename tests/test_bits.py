@@ -56,19 +56,6 @@ def test_skip_and_tell():
         r.skip(1)
 
 
-def test_pad_to_byte_and_splice():
-    w = BitWriter()
-    w.write(0b11, 2)
-    w.pad_to_byte()
-    w.append_bytes(b"\xab")
-    data = w.getvalue()
-    assert data == bytes([0b11000000, 0xAB])
-    w2 = BitWriter()
-    w2.write(1, 1)
-    with pytest.raises(ValueError):
-        w2.append_bytes(b"x")
-
-
 def test_zero_width_ops():
     w = BitWriter()
     w.write(0, 0)

@@ -203,6 +203,20 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--time-symbols", "0"],
+    ["--time-symbols", "-5"],
+    ["--select-samples", "x"],
+    ["--select-samples", "0"],
+    ["--select-samples", ","],
+    ["--codecs", ""],
+])
+def test_bench_argument_errors(flags, capsys):
+    assert run(["bench", "--zipf", "500,16,1.0"] + flags) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error:")
+
+
 def test_missing_file_is_data_error(capsys):
     assert run(["analyze", "/nonexistent/file.bin"]) == EXIT_DATA
     capsys.readouterr()

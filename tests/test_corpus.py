@@ -193,14 +193,12 @@ def test_container_refuses_codewords_over_64_bits():
     ok = container_write(list(range(1, 65)) + [64], FAMILY_WMM, b"", 0)
     assert max(container_read(ok).depths) == 64  # 64 bits is the limit
     w = BitWriter()
-    w.append_bytes(ok[:6] + (70).to_bytes(4, "little") + (3).to_bytes(8, "little")
-                   + bytes([69]))
     for d in long:
         w.write(d, 7)
-    w.pad_to_byte()
-    w.append_bytes(b"\x00" * 40)
+    blob = (ok[:6] + (70).to_bytes(4, "little") + (3).to_bytes(8, "little")
+            + bytes([69]) + w.getvalue() + b"\x00" * 40)
     with pytest.raises(ContainerError, match="64"):
-        container_read(w.getvalue())
+        container_read(blob)
 
 
 def test_container_truncated():
@@ -227,7 +225,6 @@ def test_container_roundtrip_random_models(rng):
         w = BitWriter()  # one write per field, the reference for the packed depth array
         for d in depths:
             w.write(d, max(depths).bit_length())
-        w.pad_to_byte()
         assert blob[19:] == w.getvalue() + payload
         cont = container_read(blob)
         assert cont.family == family

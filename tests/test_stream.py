@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import primary_table_loop
-from ncpc.alphabetic import alphabetic_codewords, alphabetic_profile, build_alphabetic_code
-from ncpc.bits import BitReader
+from ncpc.alphabetic import alphabetic_codewords, alphabetic_profile
+from ncpc.bits import BitReader, BitWriter
 from ncpc.codewords import revcanon_codewords
 from ncpc.errors import InvalidStream, KraftViolation, TruncatedStream
 from ncpc.revcanon import RevCanonCode, huffman_lengths
@@ -13,27 +13,23 @@ from ncpc.stream import SequenceCodec
 
 
 def test_matches_per_symbol_encode(rng):
-    for _ in range(20):
+    # fixed lengths: empty, one symbol and either side of 2048; then short
+    # random messages
+    for trial in range(25):
         sigma = int(rng.integers(1, 400))
         code = RevCanonCode(huffman_lengths(rng.integers(1, 80, sigma).tolist()))
         sc = SequenceCodec.for_code(code)
-        msg = rng.integers(1, sigma + 1, int(rng.integers(0, 300))).tolist()
+        n = (0, 1, 2047, 2048, 5000)[trial] if trial < 5 else int(rng.integers(0, 300))
+        msg = rng.integers(1, sigma + 1, n).tolist()
         data, nbits = sc.encode(msg)
-        assert nbits == sum(code.encode(m)[1] for m in msg)
+        w = BitWriter()
+        for m in msg:
+            w.write(*code.encode(m))
+        assert (data, nbits) == (w.getvalue(), w.bit_length)
         r = BitReader(data, nbits)
         for m in msg:
             assert code.decode(r)[0] == m
         assert r.remaining == 0
-
-
-def test_python_and_numpy_paths_agree(rng):
-    sigma = 200
-    code = build_alphabetic_code(rng.integers(1, 100, sigma).tolist())
-    sc = SequenceCodec.for_code(code)
-    msg = rng.integers(1, sigma + 1, 5000)
-    small = sc._encode_py(msg.tolist())
-    big = sc._encode_np(msg)
-    assert small == big
 
 
 def test_long_codeword_fallback():
