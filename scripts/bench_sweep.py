@@ -2,11 +2,9 @@
 """Benchmark sweep over synthetic corpora.
 
 Builds zipf corpora across alphabet sizes and skews, runs every codec
-once per standard select-sampling value, and writes one combined CSV.
-The sampling value applies to alpha's B bitvector only; the wmm and
-table models take none, are built once per corpus, and their rows repeat
-the timing for each value. This is the desk-scale version of the
-size-versus-time comparison; edit the grids below to taste.
+once per corpus, and writes one combined CSV. This is the desk-scale
+version of the size-versus-time comparison; edit the grids below to
+taste.
 
     python scripts/bench_sweep.py out.csv [--n 1000000] [--quick]
 """
@@ -19,7 +17,6 @@ from ncpc.corpus import gen_zipf
 
 SIGMAS = [256, 1024, 4096]
 SKEWS = [0.0, 1.0, 1.5]
-SAMPLES = [16, 32, 64, 128]
 
 
 def main() -> int:
@@ -29,17 +26,16 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--time-symbols", type=int, default=20_000)
     ap.add_argument("--quick", action="store_true",
-                    help="small corpora and a single sampling value")
+                    help="small corpora (n = 50000)")
     args = ap.parse_args()
 
     n = 50_000 if args.quick else args.n
-    samples = [64] if args.quick else SAMPLES
     rows = []
     for sigma in SIGMAS:
         for s in SKEWS:
             seq = gen_zipf(n, sigma, s, args.seed)
             label = f"zipf(n={n} sigma={sigma} s={s:g} seed={args.seed})"
-            rows += bench_rows(seq, ["wmm", "table", "alpha"], samples, label,
+            rows += bench_rows(seq, ["wmm", "table", "alpha"], [], label,
                                args.time_symbols, reps=3)
             print(f"done {label}", file=sys.stderr)
     with open(args.output, "w") as f:

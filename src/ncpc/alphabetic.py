@@ -305,7 +305,7 @@ class CompactAlphabeticCode:
     sigma is stored beyond the marker structures.
     """
 
-    def __init__(self, profile: DepthProfile, select_sample: int = 64):
+    def __init__(self, profile: DepthProfile):
         sigma = profile.sigma
         cutoff, cap = (cutoff_for(sigma), height_cap_for(sigma)) if sigma > 1 else (0, 0)
         if profile.height > cap:
@@ -335,7 +335,7 @@ class CompactAlphabeticCode:
         self.cutoff = cutoff
         self.height_cap = cap
         self.depths = depths
-        self.B = Bitvector(bbits, select_sample)
+        self.B = Bitvector(bbits)
         self.S = S
         self.A = A
         self._arrays = None
@@ -392,10 +392,10 @@ class CompactAlphabeticCode:
     def size_breakdown(self) -> dict[str, int]:
         """Accounted bits per component.
 
-        B: the marker bitvector with its directories. S: one value of at
-        most height_cap bits and its length per entry. A: one character or
-        subtree root, a length and a kind bit per dispatch prefix. sigma = 1
-        is accounted as one byte.
+        B: the marker bitvector's data and rank directory. S: one value of
+        at most height_cap bits and its length per entry. A: one character
+        or subtree root, a length and a kind bit per dispatch prefix.
+        sigma = 1 is accounted as one byte.
         """
         if self.sigma == 1:
             return {"B": 8, "S": 0, "A": 0}
@@ -408,12 +408,11 @@ class CompactAlphabeticCode:
         return sum(self.size_breakdown().values())
 
 
-def compile_code(profile: DepthProfile, sigma: int,
-                 select_sample: int = 64) -> CompactAlphabeticCode:
+def compile_code(profile: DepthProfile, sigma: int) -> CompactAlphabeticCode:
     """Compile a cutoff-balanced profile into the B/S/A representation."""
     if sigma != profile.sigma:
         raise ValueError("sigma does not match the profile")
-    return CompactAlphabeticCode(profile, select_sample)
+    return CompactAlphabeticCode(profile)
 
 
 DP_SIGMA_MAX = 320  # largest alphabet routed through the height-restricted DP
@@ -448,7 +447,7 @@ def alphabetic_profile(freqs) -> DepthProfile:
     return balance_at_cutoff(profile, cutoff_for(sigma))
 
 
-def build_alphabetic_code(freqs, select_sample: int = 64) -> CompactAlphabeticCode:
+def build_alphabetic_code(freqs) -> CompactAlphabeticCode:
     """Full pipeline: alphabetic_profile, then compile_code."""
     profile = alphabetic_profile(freqs)
-    return compile_code(profile, profile.sigma, select_sample)
+    return compile_code(profile, profile.sigma)

@@ -33,7 +33,7 @@ EXIT_SELFTEST = 3
 
 BENCH_COLUMNS = ["dataset", "codec", "sigma", "n", "L", "H0_D", "model_bits",
                  "build_s", "payload_bits_per_symbol", "encode_ns_per_symbol",
-                 "decode_ns_per_symbol", "select_sample"]
+                 "decode_ns_per_symbol"]
 
 
 class _UsageError(Exception):
@@ -81,9 +81,6 @@ def build_parser() -> _Parser:
     pb.add_argument("--mode", choices=["bytes", "u32le", "tokens"], default="bytes")
     pb.add_argument("--zipf", metavar="N,SIGMA,S", help="synthetic corpus instead of a file")
     pb.add_argument("--codecs", default="wmm,table,alpha")
-    pb.add_argument("--select-samples", default="16,32,64,128",
-                    help="select sampling rates of alpha's B bitvector; wmm and "
-                         "table rows repeat for each")
     pb.add_argument("--csv", metavar="PATH", help="write CSV here instead of stdout")
     pb.add_argument("--time-symbols", type=int, default=20000,
                     help="symbols per timing repetition")
@@ -215,14 +212,14 @@ def _median_ns_per_symbol(fn, count: int, reps: int) -> float:
 
 def _bench_corpus(args) -> tuple[str, SymbolSequence]:
     if args.zipf:
+        seed = args.seed if args.seed is not None else _default_seed()
         try:
             parts = args.zipf.split(",")
             n, sigma, s = int(parts[0]), int(parts[1]), float(parts[2])
+            seq = gen_zipf(n, sigma, s, seed)  # its ValueError: n, sigma or s out of range
         except (ValueError, IndexError):
             raise _UsageError(f"bad --zipf value: {args.zipf}") from None
-        seed = args.seed if args.seed is not None else _default_seed()
-        return (f"zipf(n={n} sigma={sigma} s={s:g} seed={seed})",
-                gen_zipf(n, sigma, s, seed))
+        return (f"zipf(n={n} sigma={sigma} s={s:g} seed={seed})", seq)
     if not args.input:
         raise _UsageError("bench needs an input path or --zipf")
     return (os.path.basename(args.input), ingest(_read_input(args.input), args.mode))
@@ -230,11 +227,11 @@ def _bench_corpus(args) -> tuple[str, SymbolSequence]:
 
 def bench_rows(seq: SymbolSequence, codecs: list[str], samples: list[int],
                dataset: str, time_symbols: int, reps: int) -> list[dict]:
-    """One row per codec and select sample. The sample sets alpha's `B`
-    select sampling only: the wmm and table models are built once and
-    timed again in each sample's rows. `build_s` is the seconds from the
-    frequencies to the codec's model: for wmm and table it includes the
-    shared `huffman_lengths`, and the table's excludes the wavelet matrix."""
+    """One row per codec. `samples` configures nothing: it is kept so
+    that callers which pass select sampling rates still work. `build_s` is
+    the seconds from the frequencies to the codec's model: for wmm and
+    table it includes the shared `huffman_lengths`, and the table's
+    excludes the wavelet matrix."""
     freqs = seq.smoothed_freqs()
     t0 = time.perf_counter()
     lengths = huffman_lengths(freqs)
@@ -253,41 +250,39 @@ def bench_rows(seq: SymbolSequence, codecs: list[str], samples: list[int],
         timed("wmm", lambda: RevCanonCode(lengths), huffman_s)
     if "table" in codecs:
         timed("table", lambda: TableCode.from_code(codes["wmm"]), huffman_s)
+    if "alpha" in codecs:
+        timed("alpha", lambda: build_alphabetic_code(freqs))
     rows = []
-    for ssamp in samples:
-        if "alpha" in codecs:
-            timed("alpha", lambda: build_alphabetic_code(freqs, select_sample=ssamp))
-        for name in codecs:
-            code = codes[name]
-            vals, lens = code.codeword_arrays()
-            full_bps = float(np.dot(seq.freqs, lens) / seq.n)
-            enc_payload, enc_nbits = SequenceCodec(vals, lens).encode(sample)
+    for name in codecs:
+        code = codes[name]
+        vals, lens = code.codeword_arrays()
+        full_bps = float(np.dot(seq.freqs, lens) / seq.n)
+        enc_payload, enc_nbits = SequenceCodec(vals, lens).encode(sample)
 
-            def run_encode(code=code, sample=sample):
-                enc = code.encode
-                for c in sample:
-                    enc(c)
+        def run_encode(code=code, sample=sample):
+            enc = code.encode
+            for c in sample:
+                enc(c)
 
-            def run_decode(code=code, data=enc_payload, nbits=enc_nbits, count=count):
-                r = BitReader(data, nbits)
-                dec = code.decode
-                for _ in range(count):
-                    dec(r)
+        def run_decode(code=code, data=enc_payload, nbits=enc_nbits, count=count):
+            r = BitReader(data, nbits)
+            dec = code.decode
+            for _ in range(count):
+                dec(r)
 
-            rows.append({
-                "dataset": dataset,
-                "codec": name,
-                "sigma": seq.sigma,
-                "n": seq.n,
-                "L": int(lens.max()),
-                "H0_D": depth_entropy(lens),
-                "model_bits": code.model_size_bits(),
-                "build_s": build_s[name],
-                "payload_bits_per_symbol": full_bps,
-                "encode_ns_per_symbol": _median_ns_per_symbol(run_encode, count, reps),
-                "decode_ns_per_symbol": _median_ns_per_symbol(run_decode, count, reps),
-                "select_sample": ssamp,
-            })
+        rows.append({
+            "dataset": dataset,
+            "codec": name,
+            "sigma": seq.sigma,
+            "n": seq.n,
+            "L": int(lens.max()),
+            "H0_D": depth_entropy(lens),
+            "model_bits": code.model_size_bits(),
+            "build_s": build_s[name],
+            "payload_bits_per_symbol": full_bps,
+            "encode_ns_per_symbol": _median_ns_per_symbol(run_encode, count, reps),
+            "decode_ns_per_symbol": _median_ns_per_symbol(run_decode, count, reps),
+        })
     return rows
 
 
@@ -309,17 +304,11 @@ def cmd_bench(args) -> int:
     for c in codecs:
         if c not in ("wmm", "table", "alpha"):
             raise _UsageError(f"unknown codec: {c}")
-    try:
-        samples = [int(s) for s in args.select_samples.split(",") if s.strip()]
-    except ValueError:
-        samples = []
-    if not samples or min(samples) < 1:
-        raise _UsageError(f"--select-samples needs positive integers: {args.select_samples}")
     if args.time_symbols < 1:
         raise _UsageError(f"--time-symbols must be >= 1: {args.time_symbols}")
     dataset, seq = _bench_corpus(args)
     _pin_to_one_core()
-    rows = bench_rows(seq, codecs, samples, dataset, args.time_symbols, max(3, args.reps))
+    rows = bench_rows(seq, codecs, [], dataset, args.time_symbols, max(3, args.reps))
     text = format_bench_csv(rows)
     if args.csv:
         with open(args.csv, "w") as f:
@@ -337,7 +326,7 @@ def _selftest_checks(corrupt_leaves: bool):
     def bitvector_oracle():
         # a length that ends inside a byte, so the last byte is padded
         bits = (rng.random(803) < 0.4).astype(np.uint8)
-        bv = Bitvector(bits, select_sample=16)
+        bv = Bitvector(bits)
         acc = 0
         ones, zeros = [], []
         for i, b in enumerate(bits.tolist(), 1):

@@ -10,12 +10,8 @@ superblock count plus a block count plus the popcount of at most 56 data
 bits (the bytes before it in its 64-bit block), an O(1) function of
 accounted entries, so the accounted size is the two-level directory's.
 Rank reads one count and pops at most 7 bits; each select is one bisect
-over one count list plus one lookup in a 256-entry table of in-byte
-positions.
-With a select sample s, select1 bisects only between the sampled
-positions of every s-th 1-bit; the sampling rate trades speed for space
-and never changes results. Without one, select1 bisects the whole
-directory and no samples are stored or counted.
+over one whole count list plus one lookup in a 256-entry table of
+in-byte positions, so no select samples are stored or counted.
 """
 
 from __future__ import annotations
@@ -46,22 +42,13 @@ def _as_bit_array(bits) -> np.ndarray:
 
 
 class Bitvector:
-    """Static bit array with rank/select. Positions are 1-based.
+    """Static bit array with rank/select. Positions are 1-based."""
 
-    select_sample=None stores no select samples.
-    """
+    __slots__ = ("n_bits", "ones", "_bytes", "_ranks", "_zranks")
 
-    __slots__ = ("n_bits", "ones", "select_sample", "_bytes", "_ranks",
-                 "_zranks", "_samples")
-
-    def __init__(self, bits, select_sample: int | None = 64) -> None:
-        if select_sample is not None and (not isinstance(select_sample, int)
-                                          or select_sample <= 0):
-            raise ValueError(f"select_sample must be a positive integer: {select_sample}")
+    def __init__(self, bits) -> None:
         arr = _as_bit_array(bits)
-        n = int(arr.size)
-        self.n_bits = n
-        self.select_sample = select_sample
+        self.n_bits = int(arr.size)
 
         data = np.packbits(arr, bitorder="little")  # the last byte zero-padded
         cum = np.concatenate(([0], np.cumsum(np.bitwise_count(data), dtype=np.int64)))
@@ -72,10 +59,6 @@ class Bitvector:
         self._bytes = data.tobytes()
         self._ranks = cum.tolist()
         self._zranks = ((np.arange(data.size + 1) << 3) - cum).tolist()
-
-        # 0-based positions of every select_sample-th 1-bit
-        self._samples = (np.flatnonzero(arr)[0::select_sample].tolist()
-                         if select_sample else [])
 
     # -- queries ---------------------------------------------------------
 
@@ -99,14 +82,7 @@ class Bitvector:
         if not 1 <= r <= self.ones:
             raise ValueError(f"select1 rank out of range: {r}")
         ranks = self._ranks
-        samples = self._samples
-        if samples:
-            # the sampled 1-bits before and after the r-th bound its byte
-            k = (r - 1) // self.select_sample
-            hi = (samples[k + 1] >> 3) + 1 if k + 1 < len(samples) else len(self._bytes)
-            j = bisect_left(ranks, r, samples[k] >> 3, hi) - 1
-        else:
-            j = bisect_left(ranks, r) - 1
+        j = bisect_left(ranks, r) - 1
         return (j << 3) + _SEL8[self._bytes[j]][r - ranks[j]] + 1
 
     def select0(self, r: int) -> int:
@@ -124,11 +100,8 @@ class Bitvector:
         nwords = (self.n_bits + 63) >> 6
         return 64 * (nwords // 8 + 1) + 16 * nwords
 
-    def select_sample_bits(self) -> int:
-        return 64 * len(self._samples)
-
     def size_bits(self) -> int:
-        return self.n_bits + self.directory_bits() + self.select_sample_bits()
+        return self.n_bits + self.directory_bits()
 
 
 class WaveletTree:
@@ -147,9 +120,8 @@ class WaveletTree:
     weights, whose finished codewords sort first at every depth: the
     matrix is Huffman-shaped and heavy symbols leave early. weights[c-1]
     is symbol c's weight, a positive integer of any size wherever c
-    occurs; without weights, each symbol weighs its count in seq. The
-    level bitvectors keep no select samples: select bisects each level's
-    whole rank directory.
+    occurs; without weights, each symbol weighs its count in seq. select
+    bisects each level's whole rank directory, as Bitvector.select1 does.
     """
 
     def __init__(self, seq, alpha: int, weights=None) -> None:
@@ -200,7 +172,7 @@ class WaveletTree:
         dropped = 0
         for k in range(self.height):
             bits = (ev[order] >> (el[order] - k - 1)) & 1
-            bv = Bitvector(bits.astype(np.uint8), select_sample=None)
+            bv = Bitvector(bits.astype(np.uint8))
             order = np.concatenate((order[bits == 0], order[bits == 1]))
             ended = int(np.count_nonzero(el[order] == k + 1))
             self._levels.append((bv, bv.n_bits - bv.ones, dropped, ended, finished[k + 1]))
@@ -292,8 +264,8 @@ class WaveletTree:
     def size_bits(self) -> int:
         """Accounted size of the matrix.
 
-        Counted: each level's bitvector (data and rank directory; it keeps
-        no select samples) and zero count, each coded symbol's block end,
+        Counted: each level's bitvector (data and rank directory) and zero
+        count, each coded symbol's block end,
         and every symbol's codeword length at ceil(lg(alpha+1)) bits. A
         count takes ceil(lg(m+1)) bits for the size m of the level it falls
         in (a block end falls in the level where its codeword ends).

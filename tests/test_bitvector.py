@@ -79,27 +79,7 @@ def test_random_vectors_against_scan_oracle(rng):
         n = int(rng.integers(0, 10_001)) if trial % 5 == 0 else int(rng.integers(0, 600))
         d = densities[trial % 3]
         bits = (rng.random(n) < d).astype(np.uint8).tolist()
-        bv = Bitvector(bits, select_sample=int(rng.choice([16, 32, 64, 128])))
-        scan_check(bv, bits)
-
-
-def test_select_sample_never_changes_results(rng):
-    bits = (rng.random(5000) < 0.4).astype(np.uint8)
-    reference = None
-    for s in (16, 32, 64, 128, 7, 1000):
-        bv = Bitvector(bits, select_sample=s)
-        got = ([bv.rank1(i) for i in range(0, bv.n_bits + 1, 13)],
-               [bv.select1(r) for r in range(1, bv.ones + 1)],
-               [bv.select0(r) for r in range(1, bv.n_bits - bv.ones + 1, 7)])
-        if reference is None:
-            reference = got
-        else:
-            assert got == reference
-
-
-def test_select_sample_must_be_positive():
-    with pytest.raises(ValueError):
-        Bitvector("101", select_sample=0)
+        scan_check(Bitvector(bits), bits)
 
 
 def test_directory_overhead_near_37_percent():
@@ -110,13 +90,13 @@ def test_directory_overhead_near_37_percent():
 @pytest.mark.parametrize("n", [0, 1, 64, 511, 512, 513, 4097, 65537])
 def test_accounting_is_the_two_level_formula(n, rng):
     """64 bits per 512-bit superblock (one past the end included) plus 16 per
-    64-bit block, and 64 per select sample, however the directory is stored."""
+    64-bit block, however the directory is stored, and no select samples."""
     bits = (rng.random(n) < 0.5).astype(np.uint8)
-    bv = Bitvector(bits, select_sample=16)
+    bv = Bitvector(bits)
     nwords = -(-n // 64)
     directory = 64 * (nwords // 8 + 1) + 16 * nwords
     assert bv.directory_bits() == directory
-    assert bv.size_bits() == n + directory + 64 * -(-int(bits.sum()) // 16)
+    assert bv.size_bits() == n + directory
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 17, 63, 64, 65, 511, 512, 513,
@@ -124,8 +104,7 @@ def test_accounting_is_the_two_level_formula(n, rng):
 def test_word_and_superblock_boundaries_against_scan_oracle(n, rng):
     for bits in (np.zeros(n, dtype=np.uint8), (rng.random(n) < 0.5).astype(np.uint8),
                  np.ones(n, dtype=np.uint8)):
-        for s in (1, 16, 64, 1000):
-            scan_check(Bitvector(bits, select_sample=s), bits.tolist())
+        scan_check(Bitvector(bits), bits.tolist())
 
 
 def test_select_tables_against_scan():

@@ -206,9 +206,9 @@ def test_usage_errors(capsys):
 @pytest.mark.parametrize("flags", [
     ["--time-symbols", "0"],
     ["--time-symbols", "-5"],
-    ["--select-samples", "x"],
-    ["--select-samples", "0"],
-    ["--select-samples", ","],
+    ["--zipf", "0,16,1.0"],
+    ["--zipf", "100,0,1"],
+    ["--zipf", "100,16,-1"],
     ["--codecs", ""],
 ])
 def test_bench_argument_errors(flags, capsys):
@@ -234,7 +234,7 @@ def test_encode_sparse_u32_alphabet_rejected(tmp_path, capsys):
 def test_bench_csv_columns(tmp_path):
     out = tmp_path / "bench.csv"
     rc = run(["bench", "--zipf", "20000,256,1.0", "--codecs", "wmm,table,alpha",
-              "--select-samples", "32", "--time-symbols", "1500", "--csv", str(out)])
+              "--time-symbols", "1500", "--csv", str(out)])
     assert rc == EXIT_OK
     lines = out.read_text().strip().splitlines()
     assert lines[0] == ",".join(BENCH_COLUMNS)
@@ -246,7 +246,6 @@ def test_bench_csv_columns(tmp_path):
         assert float(row["encode_ns_per_symbol"]) > 0
         assert float(row["decode_ns_per_symbol"]) > 0
         assert float(row["build_s"]) >= 0 and len(row["build_s"].split(".")[1]) == 4
-        assert row["select_sample"] == "32"
         # ratios carry 4 decimals, integers are unadorned
         assert "." in row["H0_D"] and len(row["H0_D"].split(".")[1]) == 4
         assert "." not in row["sigma"]
@@ -254,7 +253,7 @@ def test_bench_csv_columns(tmp_path):
 
 def test_bench_single_codec_row(capsys):
     rc = run(["bench", "--zipf", "5000,64,1.0", "--codecs", "table",
-              "--select-samples", "64", "--time-symbols", "500"])
+              "--time-symbols", "500"])
     assert rc == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
@@ -265,7 +264,7 @@ def test_bench_deterministic_nontiming_columns(capsys):
     rows = []
     for _ in range(2):
         assert run(["bench", "--zipf", "8000,128,1.0", "--codecs", "wmm",
-                    "--select-samples", "16,64", "--time-symbols", "400"]) == EXIT_OK
+                    "--time-symbols", "400"]) == EXIT_OK
         out = capsys.readouterr().out.strip().splitlines()[1:]
         stripped = []
         timing = {"build_s", "encode_ns_per_symbol", "decode_ns_per_symbol"}
@@ -279,7 +278,7 @@ def test_bench_deterministic_nontiming_columns(capsys):
 def test_bench_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NCPC_SEED", "777")
     assert run(["bench", "--zipf", "3000,64,1.0", "--codecs", "table",
-                "--select-samples", "64", "--time-symbols", "300"]) == EXIT_OK
+                "--time-symbols", "300"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "seed=777" in out
 
@@ -299,6 +298,18 @@ def test_bench_rows_report_each_codes_own_depths():
     assert rows["alpha"]["H0_D"] == pytest.approx(depth_entropy(alpha.depths))
     assert rows["wmm"]["L"] == max(wmm)
     assert rows["wmm"]["build_s"] > 0 and rows["alpha"]["build_s"] > 0
+
+
+def test_bench_rows_third_argument_configures_nothing():
+    from ncpc.cli import bench_rows
+    from ncpc.corpus import gen_zipf
+    seq = gen_zipf(5_000, 256, 1.0, 42)
+    timing = {"build_s", "encode_ns_per_symbol", "decode_ns_per_symbol"}
+    got = [[{k: v for k, v in row.items() if k not in timing}
+            for row in bench_rows(seq, ["wmm", "alpha"], samples, "z", 50, 1)]
+           for samples in ([], [64], [16, 32, 64, 128])]
+    assert [row["codec"] for row in got[0]] == ["wmm", "alpha"]
+    assert got[0] == got[1] == got[2]
 
 
 def test_decode_refuses_n_beyond_the_payload(tmp_path, capsys):
@@ -342,7 +353,7 @@ def test_decode_one_symbol_memory_does_not_follow_n(tmp_path, capsys):
 
 def test_bench_wmm_model_smaller_than_table(capsys):
     assert run(["bench", "--zipf", "30000,1024,1.0", "--codecs", "wmm,table",
-                "--select-samples", "64", "--time-symbols", "500"]) == EXIT_OK
+                "--time-symbols", "500"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()[1:]
     bits = {line.split(",")[1]: int(line.split(",")[6]) for line in lines}
     assert bits["wmm"] < bits["table"]

@@ -557,5 +557,5 @@ def test_model_bits_pinned_on_zipf_4096():
     assert code.size_breakdown() == {"D": 17746, "leaves": 247, "root": 1024}
     assert code.model_size_bits() == 19017
     alpha = build_alphabetic_code(freqs)
-    assert alpha.size_breakdown() == {"B": 6016, "S": 6923, "A": 9728}
-    assert alpha.model_size_bits() == 22667
+    assert alpha.size_breakdown() == {"B": 5696, "S": 6923, "A": 9728}
+    assert alpha.model_size_bits() == 22347

@@ -137,18 +137,6 @@ def test_weighted_shape_is_the_reverse_canonical_code_of_the_weights(rng):
         WaveletTree(seq, 24, weights[:-1])
 
 
-def test_size_bits_has_no_select_sample_term(rng):
-    seq = rng.integers(1, 13, 5000).tolist() + [4] * 3000
-    wt = WaveletTree(seq, 12)
-    levels = [bv for bv, *_ in wt._levels]
-    assert levels and all(bv._samples == [] and bv.select_sample_bits() == 0 for bv in levels)
-    expect = sum(bv.n_bits + bv.directory_bits() + bv.n_bits.bit_length() for bv in levels)
-    expect += sum((levels[ln - 1].n_bits if ln else wt.sigma_seq).bit_length()
-                  for _, ln, _, _ in wt._codes.values())
-    expect += 12 * (12).bit_length()
-    assert wt.size_bits() == expect
-
-
 def test_empty_sequence():
     for weights in (None, [1, 2, 3, 4]):
         wt = WaveletTree([], 4, weights)
