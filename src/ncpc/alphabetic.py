@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bits import BitReader
-from .codewords import parent_depths
+from .codewords import int_list, parent_depths
 from .errors import KraftViolation, TruncatedStream, Underflow
 from .succinct import Bitvector
 
@@ -428,10 +428,12 @@ def alphabetic_profile(freqs) -> DepthProfile:
     that, subtrees rooted at depth ceil(sqrt(lg sigma)) are completely
     balanced, which caps the height at lg sigma + sqrt(lg sigma) + 2.
     """
-    freqs = [max(1, int(f)) for f in freqs]
+    freqs = int_list(freqs)
     sigma = len(freqs)
     if sigma == 0:
         raise ValueError("empty alphabet")
+    if min(freqs) < 1:
+        freqs = [max(1, f) for f in freqs]
     if sigma == 1:
         return DepthProfile((0,))
     profile = build_optimal_alphabetic(freqs)

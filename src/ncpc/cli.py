@@ -387,6 +387,13 @@ def _selftest_checks(corrupt_leaves: bool):
 
     random_code = RevCanonCode(huffman_lengths(rng.integers(1, 50, 64).tolist()))
 
+    def encode_matches_arrays():
+        # the label-table encode against the vectorized per-level ascent
+        for code in (make_code(), random_code):
+            vals, lens = code.codeword_arrays()
+            for i in range(1, code.sigma + 1):
+                assert code.encode(i) == (int(vals[i - 1]), int(lens[i - 1]))
+
     def root_table_descent():
         for code in (make_code(), random_code):
             msg = rng.integers(1, code.sigma + 1, 300).tolist()
@@ -482,6 +489,7 @@ def _selftest_checks(corrupt_leaves: bool):
         ("five-char-codewords", five_char_codewords),
         ("five-char-ascent", five_char_ascent),
         ("five-char-descent", five_char_descent),
+        ("encode-matches-arrays", encode_matches_arrays),
         ("root-table-descent", root_table_descent),
         ("child-parent-inverse", child_parent_inverse),
         ("decode-fast-equivalence", decode_fast_equivalence),

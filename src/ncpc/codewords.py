@@ -14,6 +14,13 @@ from .errors import KraftViolation
 MAX_CODEWORD_BITS = 64  # codeword values are held in uint64
 
 
+def int_list(xs) -> list[int]:
+    """[int(x) for x in xs]; a 1-d numpy integer array converts in one call."""
+    if isinstance(xs, np.ndarray) and xs.ndim == 1 and xs.dtype.kind in "iu":
+        return xs.tolist()
+    return [int(x) for x in xs]
+
+
 def huffman_lengths(freqs) -> list[int]:
     """Codeword lengths of an optimal prefix code for positive weights.
 
@@ -27,7 +34,7 @@ def huffman_lengths(freqs) -> list[int]:
     n = len(freqs)
     if n == 0:
         raise ValueError("empty alphabet")
-    w = [int(f) for f in freqs]
+    w = int_list(freqs)
     if min(w) <= 0:
         raise ValueError("weights must be positive")
     if n == 1:

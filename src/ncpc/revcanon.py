@@ -6,9 +6,12 @@ character order. Under that convention the whole code is determined by
 the depth sequence D (one codeword length per character) plus per-depth
 leaf counts, and codewords are never materialized: encoding walks the
 implicit code tree from leaf to root and decoding from root to leaf,
-using only rank arithmetic. Decoding starts from a root table over the
-first t = ceil(ceil(lg sigma) / 2) bits, which answers codewords of at
-most t bits outright and gives the rank at depth t for the rest. A
+using only rank arithmetic. Both directions share a table over the first
+t = ceil(ceil(lg sigma) / 2) bits. Decoding starts from the root table,
+which answers codewords of at most t bits outright and gives the rank at
+depth t for the rest; encoding ends in its inverse, the label table,
+which gives the first t bits of a codeword from the rank its ascent
+reaches at depth t, so the ascent climbs only l - t levels. A
 DescentTable is the same root table at a width the caller chooses.
 
 Rank conventions at depth d (1-based ranks over reversed path labels):
@@ -19,6 +22,7 @@ affine shifts by leaves[d-1] and nodes[d]/2.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +47,12 @@ class RevCanonCode:
 
     root has one entry per t-bit window, t = ceil(ceil(lg sigma) / 2) <= L:
     (c, d) when the window starts with character c's codeword of length
-    d <= t, else the window's internal rank at depth t. It costs
-    O(sqrt(sigma) log sigma) bits, which size_breakdown() counts.
+    d <= t, else the window's internal rank at depth t. label inverts it:
+    each window starts with exactly one node, a leaf of depth d <= t or an
+    internal node at depth t, and the node of rank r at depth d has its
+    d-bit label at label[first[d] + r - 1], first[d] being the number of
+    leaves above depth d. Both cost O(sqrt(sigma) log sigma) bits, which
+    size_breakdown() counts.
     """
 
     def __init__(self, lengths, shape: str = "huffman") -> None:
@@ -62,6 +70,7 @@ class RevCanonCode:
         self.depths = tuple(lengths)
         self.leaves, self.nodes = depth_tables(lengths)
         self._half = [m // 2 for m in self.nodes]
+        self._first = list(accumulate(self.leaves, initial=0))  # leaves above each depth
 
         # Python ints: with long codewords the weights outgrow int64
         weights = [n * ((1 << L) + (sigma << (L - d)))
@@ -71,15 +80,20 @@ class RevCanonCode:
 
         # t <= ceil(lg sigma) <= L, so every window fits in one peek
         self.t = ((sigma - 1).bit_length() + 1) // 2
-        self.root = self._root_table(self.t)
+        self.root, self.label = self._root_table(self.t)
 
-    def _root_table(self, t: int) -> list:
-        """The root table over t <= L bits, filled in window order: a leaf of
-        depth d <= t fills its span of 2^(t-d) windows, an internal node at
-        depth t one."""
+    def _root_table(self, t: int) -> tuple[list, list[int]]:
+        """The root table over t <= L bits and its inverse label table.
+
+        The root table is filled in window order: a leaf of depth d <= t
+        fills its span of 2^(t-d) windows, an internal node at depth t one.
+        The node (d, r) that starts window w gets the label w >> (t - d).
+        """
         leaves = self.leaves
         half = self._half
+        first = self._first
         root: list = []
+        label = [0] * (first[t] + self.nodes[t])
         while len(root) < 1 << t:
             w = len(root)
             d, r = 0, 1
@@ -88,12 +102,13 @@ class RevCanonCode:
                 r -= leaves[d - 1]
                 if (w >> (t - d)) & 1:
                     r += half[d]
+            label[first[d] + r - 1] = w >> (t - d)
             if r > leaves[d]:
                 root.append(r)
             else:
                 c = self.D.select(d, r) if d else 1
                 root += [(c, d)] * (1 << (t - d))
-        return root
+        return root, label
 
     # -- rank arithmetic ---------------------------------------------------
 
@@ -123,26 +138,33 @@ class RevCanonCode:
     # -- codec ---------------------------------------------------------------
 
     def encode(self, i: int) -> tuple[int, int]:
-        """Codeword (value, length) of character i, by leaf-to-root ascent.
+        """Codeword (value, length) of character i: its first t bits from
+        the label table, the rest by leaf-to-root ascent.
 
         One wavelet walk gives the length l = D[i] and the character's rank
-        among those of length l; each ascent step is parent_rank inlined.
+        among those of length l. A codeword of at most t bits is its leaf's
+        label; a longer one ascends from depth l to depth t + 1, each step
+        parent_rank inlined and reading one bit from the low end, and takes
+        its first t bits from the label of the node reached at depth t.
         """
         if not 1 <= i <= self.sigma:
             raise IndexError(f"character out of range: {i}")
         if self.sigma == 1:
             return (0, 0)
         l, r = self.D.access_rank(i)
+        t = self.t
+        if l <= t:
+            return (self.label[self._first[l] + r - 1], l)
         leaves = self.leaves
         half = self._half
         v = 0
-        for d in range(l, 0, -1):
+        for d in range(l, t, -1):
             h = half[d]
             if r > h:
                 v |= 1 << (l - d)
                 r -= h
             r += leaves[d - 1]
-        return (v, l)
+        return (v | self.label[self._first[t] + r - 1] << (l - t), l)
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         """(character, length) for the next codeword, by root-to-leaf descent.
@@ -214,12 +236,15 @@ class RevCanonCode:
         them (nodes[d+1] = 2 * (nodes[d] - leaves[d])). root: 2^t entries,
         each a depth of at most t or a miss mark (ceil(lg(t+2)) bits) and a
         character or an internal rank at depth t, at most 2^t <= sigma
-        (ceil(lg(sigma+1)) bits).
+        (ceil(lg(sigma+1)) bits). label: one t-bit label per node that
+        starts a root window, at most 2^t entries; its offsets first[d]
+        are sums of leaf counts.
         """
         count = self.sigma.bit_length()
         return {"D": self.D.size_bits() if self.D is not None else 0,
                 "leaves": (self.L + 1) * count,
-                "root": len(self.root) * ((self.t + 1).bit_length() + count)}
+                "root": len(self.root) * ((self.t + 1).bit_length() + count),
+                "label": len(self.label) * self.t}
 
     def model_size_bits(self) -> int:
         return sum(self.size_breakdown().values())
@@ -239,4 +264,4 @@ def build_descent_table(code: RevCanonCode, t: int) -> DescentTable:
     if not 1 <= t <= 16:
         raise ValueError(f"chunk width out of range: {t}")
     t = min(t, code.L)
-    return DescentTable(t, code._root_table(t))
+    return DescentTable(t, code._root_table(t)[0])

@@ -27,6 +27,10 @@ from .errors import NoSuchOccurrence
 # / 0-bit of byte b, bits numbered from the least significant
 _SEL8 = [[None] + [i for i in range(8) if b >> i & 1] for b in range(256)]
 _SEL0 = _SEL8[::-1]
+# _RANK8[b << 3 | o]: the 1-bits of byte b below bit o, times two, plus
+# bit o of b; one lookup is a rank step and a bit read of access_rank
+_RANK8 = [(b & ((1 << o) - 1)).bit_count() << 1 | (b >> o & 1)
+          for b in range(256) for o in range(8)]
 
 
 def _as_bit_array(bits) -> np.ndarray:
@@ -199,9 +203,9 @@ class WaveletTree:
         p = i - 1           # 0-based position among the entries at this level
         v = 0               # codeword bits read so far
         for data, ranks, zeros, ended, leaf in self._access_walk:
-            byte = data[p >> 3]
-            ones = ranks[p >> 3] + (byte & ((1 << (p & 7)) - 1)).bit_count()  # bv.rank1(p)
-            if (byte >> (p & 7)) & 1:
+            x = _RANK8[data[p >> 3] << 3 | (p & 7)]
+            ones = ranks[p >> 3] + (x >> 1)     # bv.rank1(p)
+            if x & 1:
                 v = (v << 1) | 1
                 q = zeros + ones
             else:

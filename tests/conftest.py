@@ -421,6 +421,22 @@ def revcanon_decode_per_bit(code, reader):
         reader.skip(width)
 
 
+def revcanon_encode_per_bit(code) -> list[tuple[int, int]]:
+    """RevCanonCode.encode as it was before the label table, for every
+    character: the rank among characters of the same length from the
+    depths, then one parent_rank step per level up to the root."""
+    seen = collections.Counter()
+    out = []
+    for l in code.depths:
+        seen[l] += 1
+        r, v = seen[l], 0
+        for d in range(l, 0, -1):
+            r, bit = code.parent_rank(d, r)
+            v |= bit << (l - d)
+        out.append((v, l))
+    return out
+
+
 # -- misc ---------------------------------------------------------------------
 
 def bits_of(value: int, length: int) -> str:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import (TreeCodec, all_ordered_profiles, alphabetic_tables_brute,
                       brute_optimal_cost, garsia_wachs_reference, optimal_depths_dp,
                       tie_heavy_weight_cases)
-from ncpc.alphabetic import (DepthProfile, balance_at_cutoff, balanced_run_depths,
-                             build_alphabetic_code, build_height_restricted,
+from ncpc.alphabetic import (DepthProfile, alphabetic_profile, balance_at_cutoff,
+                             balanced_run_depths, build_alphabetic_code, build_height_restricted,
                              build_optimal_alphabetic, canonical_codewords,
                              compile_code, cutoff_for, expected_length,
                              garsia_wachs, height_cap_for)
@@ -320,6 +320,21 @@ def test_cutoff_and_cap_formulas():
     assert height_cap_for(1024) == 16
     assert cutoff_for(4) == 1
     assert cutoff_for(2) == 1  # clamped
+
+
+def test_profile_weight_inputs(rng):
+    """numpy integer arrays, floats (truncated by int), Python ints past 64
+    bits and weights below 1 (smoothed to 1) give the profile of the same
+    weights as a list of ints."""
+    freqs = rng.integers(0, 60, 200).tolist()
+    want = alphabetic_profile([max(1, f) for f in freqs]).depths
+    for same in (np.array(freqs), np.array(freqs, dtype=np.uint16), np.array(freqs) + 0.5,
+                 [f - 5 if f < 1 else f for f in freqs]):
+        assert alphabetic_profile(same).depths == want
+    assert alphabetic_profile([max(1, f) << 70 for f in freqs]).depths == want
+    assert alphabetic_profile(np.array([3, 0, -2, 3])).depths == alphabetic_profile([3, 1, 1, 3]).depths
+    with pytest.raises(ValueError):
+        alphabetic_profile(np.array([], dtype=np.int64))
 
 
 def test_zero_frequencies_smoothed():

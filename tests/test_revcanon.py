@@ -1,3 +1,4 @@
+import collections
 import functools
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import (bits_of, huffman_cost_twoqueue, huffman_lengths_heap,
                       kraft_complete_multisets, revcanon_decode_per_bit,
-                      revlex_char_codewords, tie_heavy_weight_cases)
+                      revcanon_encode_per_bit, revlex_char_codewords,
+                      tie_heavy_weight_cases)
 from ncpc.bits import BitReader, BitWriter
 from ncpc.corpus import gen_zipf
 from ncpc.errors import KraftViolation, NcpcError, NoSuchOccurrence, TruncatedStream
@@ -29,6 +31,20 @@ def test_huffman_lengths_examples():
         huffman_lengths([])
     with pytest.raises(ValueError):
         huffman_lengths([1, 0])
+
+
+def test_huffman_lengths_weight_inputs(rng):
+    """numpy integer arrays, floats (truncated by int) and Python ints past
+    64 bits give the lengths of the same weights as a list of ints."""
+    freqs = rng.integers(1, 500, 300).tolist()
+    want = huffman_lengths(freqs)
+    for same in (np.array(freqs), np.array(freqs, dtype=np.uint64), np.array(freqs) + 0.5,
+                 [f + 0.9 for f in freqs]):
+        assert huffman_lengths(same) == want
+    assert huffman_lengths([f << 70 for f in freqs]) == want
+    for bad in (np.array([1, 0]), np.array([3, -1], dtype=np.int8), [1.0, 0.5]):
+        with pytest.raises(ValueError):
+            huffman_lengths(bad)
 
 
 def test_huffman_lengths_optimal_brute(rng):
@@ -296,12 +312,21 @@ def assert_decodes_like_per_bit(code, decode, data: bytes, nbits: int) -> None:
         assert fast.tell() == slow.tell()
 
 
+# sigma = 1 and 2, leaves at exactly depth t (the second to fifth), L = 69
+ROOT_TABLE_LENGTHS = ([0], [1, 1], [1, 2, 2], FIVE, [2, 2, 2, 3, 3],
+                      list(range(1, 70)) + [69])
+
+
+def root_table_cases(rng) -> tuple:
+    return ROOT_TABLE_LENGTHS + (
+        huffman_lengths(gen_zipf(50_000, 4096, 1.0, 3).smoothed_freqs()),
+        huffman_lengths(rng.integers(1, 9, 65536).tolist()))
+
+
 def test_root_table_width_and_entries(rng):
     """t = ceil(ceil(lg sigma) / 2); window w holds (c, d) when it starts with
     c's codeword of length d <= t, else the rank of its node at depth t."""
-    for lengths in ([0], [1, 1], [1, 2, 2], FIVE, list(range(1, 70)) + [69],
-                    huffman_lengths(gen_zipf(50_000, 4096, 1.0, 3).smoothed_freqs()),
-                    huffman_lengths(rng.integers(1, 9, 65536).tolist())):
+    for lengths in root_table_cases(rng):
         code = RevCanonCode(lengths)
         sigma = len(lengths)
         t = code.t
@@ -322,8 +347,48 @@ def test_root_table_width_and_entries(rng):
                 assert e == want[w]
         assert code.size_breakdown()["root"] == (1 << t) * (
             int(np.ceil(np.log2(t + 2))) + int(np.ceil(np.log2(sigma + 1))))
+        assert code.size_breakdown()["label"] == len(code.label) * t
         # a descent table at the code's own width is the code's root table
         assert build_descent_table(code, max(t, 1)).root == code.root
+
+
+def test_label_table_inverts_the_root_table(rng):
+    """Every window maps back to the label of the node it starts with: w for
+    an internal node at depth t, w >> (t - d) for a leaf of depth d; and
+    every label entry is some window's node."""
+    for lengths in root_table_cases(rng):
+        code = RevCanonCode(lengths)
+        t, label = code.t, code.label
+        first = [sum(code.leaves[:d]) for d in range(t + 1)]
+        seen = collections.Counter()
+        rank_of = []    # each character's rank among those of its length
+        for l in lengths:
+            seen[l] += 1
+            rank_of.append(seen[l])
+        reached = set()
+        for w, e in enumerate(code.root):
+            if type(e) is int:
+                k, want = first[t] + e - 1, w
+            else:
+                c, d = e
+                k, want = first[d] + rank_of[c - 1] - 1, w >> (t - d)
+            assert label[k] == want
+            reached.add(k)
+        assert reached == set(range(len(label))) and len(label) <= 1 << t
+
+
+def test_encode_matches_per_bit_ascent(rng):
+    """The label-table encode against a parent_rank ascent, for every
+    character: random codes, codes with leaves at depth t, and L = 69,
+    whose codewords codeword_arrays() refuses."""
+    codes = [RevCanonCode(lengths) for lengths in ROOT_TABLE_LENGTHS]
+    assert all(c.leaves[c.t] for c in codes[1:5])     # leaves at exactly depth t
+    for sigma in (2, 3, 5, 17, 256, 4096):
+        for weights in tie_heavy_weight_cases(rng, 3, sigma_max=sigma, sigma_min=sigma):
+            codes.append(RevCanonCode(huffman_lengths(weights)))
+    for code in codes:
+        assert code.codeword_set() == [
+            (i, v, l) for i, (v, l) in enumerate(revcanon_encode_per_bit(code), 1)]
 
 
 def test_decode_matches_per_bit_descent_random_codes(rng):
@@ -554,8 +619,8 @@ def test_model_bits_pinned_on_zipf_4096():
     from ncpc.alphabetic import build_alphabetic_code
     freqs = gen_zipf(200000, 4096, 1.0, seed=1).smoothed_freqs()
     code = RevCanonCode(huffman_lengths(freqs), shape="huffman")
-    assert code.size_breakdown() == {"D": 17746, "leaves": 247, "root": 1024}
-    assert code.model_size_bits() == 19017
+    assert code.size_breakdown() == {"D": 17746, "leaves": 247, "root": 1024, "label": 312}
+    assert code.model_size_bits() == 19329
     alpha = build_alphabetic_code(freqs)
     assert alpha.size_breakdown() == {"B": 5696, "S": 6923, "A": 9728}
     assert alpha.model_size_bits() == 22347
