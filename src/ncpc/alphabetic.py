@@ -359,29 +359,26 @@ class CompactAlphabeticCode:
         return (base // 2 + off - (r - (1 << (h - 1))), self.cutoff + h - 1)
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
-        e = self.A[reader.peek(self.cutoff)]
-        if type(e) is tuple:
-            try:
-                reader.skip(e[1])
-            except Underflow:
-                raise TruncatedStream("truncated stream") from None
-            return e
-        B = self.B
-        rk = B.rank1(e)
-        ipp = B.select1(rk + 1) if rk < B.ones else self.sigma + 1
-        r = ipp - e
-        h = (r - 1).bit_length()
-        jp = reader.peek(self.cutoff + h)
-        d = jp - self.S[rk - 1][0]
-        deep = 2 * r - (1 << h)
+        cap = self.height_cap
+        w = reader.peek(cap)    # every codeword fits in height_cap bits
+        e = self.A[w >> (cap - self.cutoff)]
+        if type(e) is not tuple:
+            B = self.B
+            rk = B.rank1(e)
+            ipp = B.select1(rk + 1) if rk < B.ones else self.sigma + 1
+            r = ipp - e
+            h = (r - 1).bit_length()
+            l = self.cutoff + h
+            d = (w >> (cap - l)) - self.S[rk - 1][0]
+            if d < 2 * r - (1 << h):
+                e = (e + d, l)
+            else:
+                e = (e + r - (1 << (h - 1)) + d // 2, l - 1)
         try:
-            if d < deep:
-                reader.skip(self.cutoff + h)
-                return (e + d, self.cutoff + h)
-            reader.skip(self.cutoff + h - 1)
-            return (e + r - (1 << (h - 1)) + d // 2, self.cutoff + h - 1)
+            reader.skip(e[1])
         except Underflow:
             raise TruncatedStream("truncated stream") from None
+        return e
 
     def codeword_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, lengths) for all characters, cached."""

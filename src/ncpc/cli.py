@@ -87,8 +87,7 @@ def build_parser() -> _Parser:
     pb.add_argument("--reps", type=int, default=3)
     pb.add_argument("--seed", type=int, default=None)
 
-    ps = sub.add_parser("selftest", help="run embedded consistency checks")
-    ps.add_argument("--corrupt-leaves", action="store_true", help=argparse.SUPPRESS)
+    sub.add_parser("selftest", help="run embedded consistency checks")
     return p
 
 
@@ -320,7 +319,7 @@ def cmd_bench(args) -> int:
 
 # -- selftest ----------------------------------------------------------------
 
-def _selftest_checks(corrupt_leaves: bool):
+def _selftest_checks():
     rng = np.random.default_rng(7)
 
     def bitvector_oracle():
@@ -362,10 +361,7 @@ def _selftest_checks(corrupt_leaves: bool):
             assert r.read(width) == v
 
     def make_code():
-        code = RevCanonCode([1, 2, 3, 4, 4])
-        if corrupt_leaves:
-            code.leaves[2] += 1  # debug hook: must make the checks fail
-        return code
+        return RevCanonCode([1, 2, 3, 4, 4])
 
     def five_char_codewords():
         code = make_code()
@@ -505,7 +501,7 @@ def _selftest_checks(corrupt_leaves: bool):
 
 def cmd_selftest(args) -> int:
     failures = 0
-    for name, fn in _selftest_checks(args.corrupt_leaves):
+    for name, fn in _selftest_checks():
         try:
             fn()
         except Exception as e:  # report and continue

@@ -99,7 +99,8 @@ def depth_tables(lengths) -> tuple[list[int], list[int]]:
 def check_kraft(lengths) -> None:
     """Raise KraftViolation unless the lengths are the leaf depths of a full
     binary tree, that is, satisfy the Kraft equality (so one character has
-    length 0, and more have lengths >= 1).
+    length 0, and more have lengths >= 1), and ValueError above
+    MAX_CODEWORD_BITS: every decoder reads a codeword in one 64-bit peek.
 
     The per-depth counts of depth_tables are then consistent as well:
     nodes[d] = sum over l >= d of leaves[l] * 2^(d-l), so leaves[d] <= nodes[d]
@@ -112,6 +113,8 @@ def check_kraft(lengths) -> None:
     L = len(counts) - 1
     if sum(c << (L - d) for d, c in enumerate(counts)) != 1 << L:
         raise KraftViolation("lengths do not satisfy the Kraft equality")
+    if L > MAX_CODEWORD_BITS:
+        raise ValueError(f"codewords longer than {MAX_CODEWORD_BITS} bits")
 
 
 def revcanon_codewords(lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -120,14 +123,12 @@ def revcanon_codewords(lengths) -> tuple[np.ndarray, np.ndarray]:
     Character i gets the leaf whose rank at depth lengths[i] is its rank
     among the characters of that length; the ascent to the root reads
     one codeword bit per level, a right child being one whose rank
-    exceeds nodes[d]/2. Raises KraftViolation unless check_kraft passes,
-    and ValueError above MAX_CODEWORD_BITS, since the values are uint64.
+    exceeds nodes[d]/2. Raises what check_kraft raises, so the values
+    fit in uint64.
     """
     lens = np.asarray(lengths, dtype=np.int64)
     sigma = lens.size
     check_kraft(lens)
-    if lens.max() > MAX_CODEWORD_BITS:
-        raise ValueError(f"codewords longer than {MAX_CODEWORD_BITS} bits")
     if sigma == 1:
         return np.zeros(1, dtype=np.uint64), lens
     leaves, nodes = depth_tables(lens.tolist())

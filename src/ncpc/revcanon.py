@@ -30,7 +30,7 @@ import numpy as np
 from .bits import BitReader
 from .codewords import huffman_lengths  # noqa: F401 (part of this module's API)
 from .codewords import check_kraft, depth_tables, revcanon_codewords
-from .errors import InvalidCodeState, TruncatedStream
+from .errors import InvalidCodeState, TruncatedStream, Underflow
 from .succinct import WaveletTree
 
 
@@ -169,11 +169,12 @@ class RevCanonCode:
     def decode(self, reader: BitReader) -> tuple[int, int]:
         """(character, length) for the next codeword, by root-to-leaf descent.
 
-        Peeks up to 64 bits at a time. The root table answers from the
-        first t of them: a codeword of at most t bits is returned with no
-        descent and no select on D; otherwise the descent resumes by rank
-        arithmetic at depth t. Then skips the bits the codeword used.
-        decode_fast takes the same walk through a DescentTable's root table.
+        Peeks L <= 64 bits once. The root table answers from the first t of
+        them: a codeword of at most t bits is returned with no descent and
+        no select on D; otherwise the descent resumes by rank arithmetic at
+        depth t over the bits below the window. Then skips the bits the
+        codeword used. decode_fast takes the same walk through a
+        DescentTable's root table.
         """
         return self._descend(reader, self.t, self.root)
 
@@ -184,39 +185,28 @@ class RevCanonCode:
     def _descend(self, reader: BitReader, t: int, root: list) -> tuple[int, int]:
         """decode() from a root table over the first t <= L bits."""
         L = self.L
-        width = L if L < 64 else 64
-        chunk = reader.peek(width)
-        e = root[chunk >> (width - t)]
-        if type(e) is tuple:
-            if e[1] > reader.remaining:
-                raise TruncatedStream("truncated stream")
-            reader.skip(e[1])
-            return e
-        leaves = self.leaves
-        half = self._half
-        d = t
-        r = e
-        top = width - t     # peeked bits below the root window
-        while True:
-            for shift in range(top - 1, -1, -1):
+        chunk = reader.peek(L)
+        e = root[chunk >> (L - t)]
+        if type(e) is not tuple:
+            leaves = self.leaves
+            half = self._half
+            d = t
+            r = e
+            for shift in range(L - t - 1, -1, -1):
                 d += 1
                 r -= leaves[d - 1]
                 if (chunk >> shift) & 1:
                     r += half[d]
                 if r <= leaves[d]:
-                    used = width - shift
-                    if used > reader.remaining:
-                        raise TruncatedStream("truncated stream")
-                    reader.skip(used)
-                    return (self.D.select(d, r), d)
-            if width > reader.remaining:
-                raise TruncatedStream("truncated stream")
-            if d == L:
+                    break
+            else:
                 raise InvalidCodeState("invalid code state")
-            reader.skip(width)
-            width = min(L - d, 64)
-            chunk = reader.peek(width)
-            top = width
+            e = (self.D.select(d, r), d)    # a leaf at depth d used d bits
+        try:
+            reader.skip(e[1])
+        except Underflow:
+            raise TruncatedStream("truncated stream") from None
+        return e
 
     def codeword_set(self) -> list[tuple[int, int, int]]:
         """All (character, value, length) triples via encode()."""

@@ -184,14 +184,10 @@ class WaveletTree:
             dropped = ended
         # The same levels as flat tuples of the fields each walk reads, so a
         # query step loads no Bitvector attribute: top-down for access_rank,
-        # and per codeword length ln, the first ln levels top-down for rank
-        # and bottom-up for select.
+        # and per codeword length ln, the first ln levels bottom-up for select.
         levels = self._levels
         self._access_walk = tuple((bv._bytes, bv._ranks, zeros, ended, leaf)
                                   for bv, zeros, _, ended, leaf in levels)
-        self._rank_walks = tuple(tuple((bv._bytes, bv._ranks, zeros, dropped)
-                                       for bv, zeros, dropped, _, _ in levels[:ln])
-                                 for ln in range(self.height + 1))
         self._select_walks = tuple(tuple((bv._bytes, bv._ranks, bv._zranks, zeros, dropped)
                                          for bv, zeros, dropped, _, _ in reversed(levels[:ln]))
                                    for ln in range(self.height + 1))
@@ -232,11 +228,9 @@ class WaveletTree:
         val, ln, start, _ = code
         q = i
         shift = ln
-        for data, ranks, zeros, dropped in self._rank_walks[ln]:
+        for bv, zeros, dropped, _, _ in self._levels[:ln]:
             p = q - dropped
-            ones = ranks[p >> 3]    # bv.rank1(p), inlined
-            if p & 7:
-                ones += (data[p >> 3] & ((1 << (p & 7)) - 1)).bit_count()
+            ones = bv.rank1(p)
             shift -= 1
             q = zeros + ones if (val >> shift) & 1 else p - ones
         return q - start

@@ -1,9 +1,9 @@
 """Classical table-based prefix codec.
 
-Encoding reads a single per-character table; decoding peeks successively
-longer prefixes and binary-searches the bucket of codewords of that
-length. The probe order (shortest length first) never over-reads a valid
-stream because the code is prefix-free.
+Encoding reads a single per-character table; decoding peeks max_len
+<= 64 bits once and, for each codeword length in ascending order,
+binary-searches that length's bucket for the window's prefix of that
+length. The first match is the codeword, because the code is prefix-free.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .bits import BitReader
+from .codewords import MAX_CODEWORD_BITS
 from .errors import InvalidStream, TruncatedStream, Underflow
 
 
@@ -45,6 +46,8 @@ class TableCode:
             pairs.sort()
             self._buckets[l] = ([v for v, _ in pairs], [c for _, c in pairs])
         self.max_len = max(self._lengths)
+        if self.max_len > MAX_CODEWORD_BITS:
+            raise ValueError(f"codewords longer than {MAX_CODEWORD_BITS} bits")
 
     @classmethod
     def from_code(cls, code) -> "TableCode":
@@ -58,11 +61,13 @@ class TableCode:
         return (self._enc_v[i - 1], self._enc_l[i - 1])
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
+        m = self.max_len
+        w = reader.peek(m)
         for ln in self._lengths:
-            w = reader.peek(ln)
             vals, chars = self._buckets[ln]
-            k = bisect_left(vals, w)
-            if k < len(vals) and vals[k] == w:
+            v = w >> (m - ln)
+            k = bisect_left(vals, v)
+            if k < len(vals) and vals[k] == v:
                 try:
                     reader.skip(ln)
                 except Underflow:

@@ -366,6 +366,16 @@ def test_selftest_passes(capsys):
     assert "all checks passed" in out
 
 
-def test_selftest_corrupt_hook_fails(capsys):
-    assert run(["selftest", "--corrupt-leaves"]) == EXIT_SELFTEST
+def test_selftest_corrupt_hook_fails(monkeypatch, capsys):
+    """A code whose leaf counts are corrupted after construction fails the checks."""
+    import ncpc.cli
+    from ncpc.revcanon import RevCanonCode
+
+    def corrupted(lengths):
+        code = RevCanonCode(lengths)
+        code.leaves[2] += 1
+        return code
+
+    monkeypatch.setattr(ncpc.cli, "RevCanonCode", corrupted)
+    assert run(["selftest"]) == EXIT_SELFTEST
     assert "FAIL" in capsys.readouterr().out

@@ -200,24 +200,6 @@ def test_zipf_4096_encode_decode_match_codeword_arrays():
         code.decode(BitReader(w.getvalue(), code.L - 1))
 
 
-def test_decode_codewords_longer_than_one_peek():
-    lengths = list(range(1, 70)) + [69]      # codewords up to 69 bits
-    code = RevCanonCode(lengths)
-    msg = [70, 1, 69, 35, 64, 65, 2, 70]
-    w = BitWriter()
-    for m in msg:
-        v, l = code.encode(m)
-        if l > 64:
-            w.write(v >> 64, l - 64)
-            l = 64
-        w.write(v & ((1 << l) - 1), l)
-    r = BitReader(w.getvalue(), w.bit_length)
-    assert [code.decode(r) for _ in msg] == [(m, lengths[m - 1]) for m in msg]
-    r = BitReader(w.getvalue(), 66)           # cut inside the first (69-bit) codeword
-    with pytest.raises(TruncatedStream):
-        code.decode(r)
-
-
 def test_sixty_four_bit_codewords_roundtrip():
     """L = 64: the wavelet weights of D pass 2^64, and codewords fill a full peek."""
     lengths = list(range(1, 65)) + [64]
@@ -275,14 +257,10 @@ def test_codeword_arrays_match_encode(rng):
 # -- root table ------------------------------------------------------------------
 
 def pack_codewords(code, chars) -> tuple[bytes, int]:
-    """The codewords of `chars` back to back; codewords may pass 64 bits."""
+    """The codewords of `chars` back to back."""
     w = BitWriter()
     for c in chars:
-        v, l = code.encode(c)
-        if l > 64:
-            w.write(v >> 64, l - 64)
-            l = 64
-        w.write(v & ((1 << l) - 1), l)
+        w.write(*code.encode(c))
     return w.getvalue(), w.bit_length
 
 
@@ -312,9 +290,9 @@ def assert_decodes_like_per_bit(code, decode, data: bytes, nbits: int) -> None:
         assert fast.tell() == slow.tell()
 
 
-# sigma = 1 and 2, leaves at exactly depth t (the second to fifth), L = 69
+# sigma = 1 and 2, leaves at exactly depth t (the second to fifth), L = 64
 ROOT_TABLE_LENGTHS = ([0], [1, 1], [1, 2, 2], FIVE, [2, 2, 2, 3, 3],
-                      list(range(1, 70)) + [69])
+                      list(range(1, 65)) + [64])
 
 
 def root_table_cases(rng) -> tuple:
@@ -379,8 +357,8 @@ def test_label_table_inverts_the_root_table(rng):
 
 def test_encode_matches_per_bit_ascent(rng):
     """The label-table encode against a parent_rank ascent, for every
-    character: random codes, codes with leaves at depth t, and L = 69,
-    whose codewords codeword_arrays() refuses."""
+    character: random codes, codes with leaves at depth t, and L = 64,
+    whose codewords fill a whole peek."""
     codes = [RevCanonCode(lengths) for lengths in ROOT_TABLE_LENGTHS]
     assert all(c.leaves[c.t] for c in codes[1:5])     # leaves at exactly depth t
     for sigma in (2, 3, 5, 17, 256, 4096):
@@ -402,22 +380,16 @@ def test_decode_matches_per_bit_descent_random_codes(rng):
             assert_decodes_like_per_bit(code, code.decode, *pack_codewords(code, order))
 
 
-def test_decode_matches_per_bit_descent_past_one_peek():
-    code = RevCanonCode(list(range(1, 70)) + [69])
-    msg = [70, 1, 69, 35, 64, 65, 2, 70, 3, 4, 5]
-    assert_decodes_like_per_bit(code, code.decode, *pack_codewords(code, msg))
-
-
 def test_decode_fast_matches_per_bit_descent_at_every_width(rng):
     """A descent table of any width 1..16, capped at L, decodes as the
-    per-bit oracle does: sigma = 1, t > L, codewords past one peek, cuts."""
+    per-bit oracle does: sigma = 1, t > L, 64-bit codewords, cuts."""
     code = RevCanonCode([0])
     for t in range(1, 17):
         table = build_descent_table(code, t)
         assert (table.t, table.root) == (0, [(1, 0)])
         fast, slow = BitReader(b"", 0), BitReader(b"", 0)
         assert code.decode_fast(table, fast) == revcanon_decode_per_bit(code, slow) == (1, 0)
-    for lengths in ([1, 1], FIVE, list(range(1, 70)) + [69],
+    for lengths in ([1, 1], FIVE, list(range(1, 65)) + [64],
                     huffman_lengths(gen_zipf(50_000, 4096, 1.0, 3).smoothed_freqs())):
         code = RevCanonCode(lengths)
         sigma = code.sigma

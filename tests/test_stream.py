@@ -10,6 +10,7 @@ from ncpc.codewords import revcanon_codewords
 from ncpc.errors import InvalidStream, KraftViolation, TruncatedStream
 from ncpc.revcanon import RevCanonCode, huffman_lengths
 from ncpc.stream import SequenceCodec
+from ncpc.table_codec import TableCode
 
 
 def test_matches_per_symbol_encode(rng):
@@ -77,12 +78,12 @@ LONG = list(range(1, 70)) + [69]  # Kraft-complete, codewords up to 69 bits
 
 def test_codewords_over_64_bits_are_refused():
     # uint64 values used to drop the high bits: [65, 65, 65] came back as [1, 64, 1]
-    code = RevCanonCode(LONG)
-    assert code.encode(65)[1] == 65  # the per-symbol model still serves them
+    with pytest.raises(ValueError, match="64 bits"):
+        RevCanonCode(LONG)  # every decoder reads a codeword in one 64-bit peek
     with pytest.raises(ValueError, match="64 bits"):
         revcanon_codewords(LONG)
     with pytest.raises(ValueError, match="64 bits"):
-        SequenceCodec.for_code(code)
+        TableCode([(1, 0, 1), (2, 1 << 64, 65)])
     with pytest.raises(ValueError, match="64 bits"):
         SequenceCodec(np.zeros(len(LONG), dtype=np.uint64), np.array(LONG))
     lens = list(range(1, 65)) + [64]  # 64 bits is the limit
