@@ -6,7 +6,7 @@ once per corpus, and writes one combined CSV. This is the desk-scale
 version of the size-versus-time comparison; edit the grids below to
 taste.
 
-    python scripts/bench_sweep.py out.csv [--n 1000000] [--quick]
+    python scripts/bench_sweep.py out.csv [--n 1000000]
 """
 
 import argparse
@@ -25,16 +25,13 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=1_000_000)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--time-symbols", type=int, default=20_000)
-    ap.add_argument("--quick", action="store_true",
-                    help="small corpora (n = 50000)")
     args = ap.parse_args()
 
-    n = 50_000 if args.quick else args.n
     rows = []
     for sigma in SIGMAS:
         for s in SKEWS:
-            seq = gen_zipf(n, sigma, s, args.seed)
-            label = f"zipf(n={n} sigma={sigma} s={s:g} seed={args.seed})"
+            seq = gen_zipf(args.n, sigma, s, args.seed)
+            label = f"zipf(n={args.n} sigma={sigma} s={s:g} seed={args.seed})"
             rows += bench_rows(seq, ["wmm", "table", "alpha"], [], label,
                                args.time_symbols, reps=3)
             print(f"done {label}", file=sys.stderr)

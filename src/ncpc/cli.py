@@ -141,6 +141,8 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     blob = _read_input(args.input)
     cont = container_read(blob)
+    if args.mode == "bytes" and cont.sigma > 256:
+        raise ValueError("container alphabet does not fit byte output")
     raw = cont.payload_bytes
     if cont.sigma == 1:
         return _decode_one_symbol(cont.n, raw, args)
@@ -149,8 +151,6 @@ def cmd_decode(args) -> int:
     if len(raw) != (used + 7) // 8 or (used % 8 and raw[-1] & (0xFF >> used % 8)):
         raise ContainerError("payload has trailing bytes or nonzero pad bits")
     if args.mode == "bytes":
-        if cont.sigma > 256:
-            raise ValueError("container alphabet does not fit byte output")
         out = (symbols - 1).astype(np.uint8).tobytes()
     else:
         out = (symbols.astype("<u4") - 1).tobytes()

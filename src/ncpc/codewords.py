@@ -97,10 +97,12 @@ def depth_tables(lengths) -> tuple[list[int], list[int]]:
 
 
 def check_kraft(lengths) -> None:
-    """Raise KraftViolation unless the lengths are the leaf depths of a full
+    """Raise KraftViolation on a negative length, then ValueError above
+    MAX_CODEWORD_BITS (every decoder reads a codeword in one 64-bit peek),
+    then KraftViolation unless the lengths are the leaf depths of a full
     binary tree, that is, satisfy the Kraft equality (so one character has
-    length 0, and more have lengths >= 1), and ValueError above
-    MAX_CODEWORD_BITS: every decoder reads a codeword in one 64-bit peek.
+    length 0, and more have lengths >= 1). The length bound comes before
+    the Kraft sum, whose integers are as wide as the longest length.
 
     The per-depth counts of depth_tables are then consistent as well:
     nodes[d] = sum over l >= d of leaves[l] * 2^(d-l), so leaves[d] <= nodes[d]
@@ -109,12 +111,12 @@ def check_kraft(lengths) -> None:
     lens = np.asarray(lengths, dtype=np.int64)
     if lens.min() < 0:
         raise KraftViolation("negative codeword length")
-    counts = np.bincount(lens).tolist()
-    L = len(counts) - 1
-    if sum(c << (L - d) for d, c in enumerate(counts)) != 1 << L:
-        raise KraftViolation("lengths do not satisfy the Kraft equality")
+    L = int(lens.max())
     if L > MAX_CODEWORD_BITS:
         raise ValueError(f"codewords longer than {MAX_CODEWORD_BITS} bits")
+    counts = np.bincount(lens).tolist()
+    if sum(c << (L - d) for d, c in enumerate(counts)) != 1 << L:
+        raise KraftViolation("lengths do not satisfy the Kraft equality")
 
 
 def revcanon_codewords(lengths) -> tuple[np.ndarray, np.ndarray]:

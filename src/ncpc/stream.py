@@ -2,8 +2,9 @@
 
 This is throughput plumbing for whole-file encode/decode: the per-symbol
 codecs define the codes; this packs or unpacks long symbol runs through
-them efficiently (vectorized bit packing, table-driven decoding with a
-16-bit primary table and a probe fallback for longer codewords).
+them efficiently (vectorized bit packing, and table-driven decoding that
+reads every codeword from one bit accumulator: a 16-bit primary table for
+codewords of at most 16 bits, and one dict per longer length).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class SequenceCodec:
         t = min(16, self.max_len)
         self._t = t
         self._long: dict[int, dict[int, int]] = {}
-        self._long_lengths: list[int] = []
         if t:
             lens = self._lens
             short = np.flatnonzero(lens <= t)
@@ -47,10 +47,9 @@ class SequenceCodec:
             tsym[slot] = np.repeat(short + 1, span)
             self._tlen = tlen.tolist()
             self._tsym = tsym.tolist()
-            for l in np.unique(lens[lens > t]).tolist():
+            for l in np.unique(lens[lens > t]).tolist():  # ascending, as decode probes
                 chars = np.flatnonzero(lens == l)
                 self._long[l] = dict(zip(self._vals[chars].tolist(), (chars + 1).tolist()))
-            self._long_lengths = sorted(self._long)
 
     @classmethod
     def for_code(cls, code) -> "SequenceCodec":
@@ -90,11 +89,20 @@ class SequenceCodec:
     # -- decode -----------------------------------------------------------
 
     def decode(self, data: bytes, n: int, nbits: int | None = None) -> np.ndarray:
-        """Unpack exactly n symbols; raises TruncatedStream if data runs out."""
+        """Unpack exactly n symbols from the first nbits bits of data (all
+        of it by default); raises TruncatedStream if they run out, and
+        ValueError if nbits exceeds data.
+
+        Every codeword is read from one accumulator, refilled 4 bytes at a
+        time (8 when codewords exceed 32 bits) whenever it holds fewer than
+        max_len bits, so it always holds the next codeword whole.
+        """
         if n < 0:
             raise ValueError("n must be >= 0")
         if nbits is None:
             nbits = 8 * len(data)
+        if not 0 <= nbits <= 8 * len(data):
+            raise ValueError("nbits exceeds the buffer")
         if n * self.min_len > nbits:
             # n comes from outside: check it against the payload before allocating
             raise TruncatedStream("truncated stream")
@@ -104,48 +112,35 @@ class SequenceCodec:
         tmask = (1 << t) - 1
         tlen = self._tlen
         tsym = self._tsym
+        long = tuple(self._long.items())
+        need = self.max_len
+        step = 4 if need <= 32 else 8  # bytes per refill
+        width = 8 * step
         buf = bytes(data) + b"\x00" * 16
         out = [0] * n
         acc = 0
         have = 0
         pos = 0
         for k in range(n):
-            if have < t:
-                acc = (((acc & ((1 << have) - 1)) << 32)
-                       | int.from_bytes(buf[pos:pos + 4], "big"))
-                pos += 4
-                have += 32
+            if have < need:
+                acc = (((acc & ((1 << have) - 1)) << width)
+                       | int.from_bytes(buf[pos:pos + step], "big"))
+                pos += step
+                have += width
             w = (acc >> (have - t)) & tmask
             l = tlen[w]
             if l:
-                have -= l
                 out[k] = tsym[w]
             else:
-                bitpos = (pos << 3) - have
-                l, sym = self._decode_long(buf, bitpos)
-                out[k] = sym
-                bitpos += l
-                pos = bitpos >> 3
-                rem = bitpos & 7
-                if rem:
-                    acc = buf[pos] & ((1 << (8 - rem)) - 1)
-                    have = 8 - rem
-                    pos += 1
+                for l, table in long:
+                    sym = table.get((acc >> (have - l)) & ((1 << l) - 1))
+                    if sym is not None:
+                        break
                 else:
-                    acc = 0
-                    have = 0
+                    raise InvalidStream("invalid stream: no codeword matches")
+                out[k] = sym
+            have -= l
         consumed = (pos << 3) - have
         if consumed > nbits:
             raise TruncatedStream("truncated stream")
         return np.asarray(out, dtype=np.uint32)
-
-    def _decode_long(self, buf: bytes, bitpos: int) -> tuple[int, int]:
-        start = bitpos >> 3
-        off = bitpos & 7
-        window = int.from_bytes(buf[start:start + 12], "big")
-        for l in self._long_lengths:
-            v = (window >> (96 - off - l)) & ((1 << l) - 1)
-            sym = self._long[l].get(v)
-            if sym is not None:
-                return (l, sym)
-        raise InvalidStream("invalid stream: no codeword matches")

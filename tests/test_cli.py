@@ -94,6 +94,23 @@ def test_decode_truncated_container(tmp_path, rng, capsys):
     assert "truncated" in capsys.readouterr().err.lower()
 
 
+def test_decode_bytes_refuses_a_wide_alphabet_before_decoding(tmp_path, monkeypatch, capsys):
+    import ncpc.cli
+    src = tmp_path / "wide.u32"
+    src.write_bytes(np.arange(300, dtype="<u4").tobytes())
+    enc = tmp_path / "wide.ncp"
+    assert run(["encode", str(src), str(enc), "--codec", "wmm", "--mode", "u32le"]) == EXIT_OK
+
+    def no_decode(*args):
+        raise AssertionError("the payload was decoded")
+
+    monkeypatch.setattr(ncpc.cli, "SequenceCodec", no_decode)
+    out = tmp_path / "wide.out"
+    assert run(["decode", str(enc), str(out), "--mode", "bytes"]) == EXIT_DATA
+    assert "container alphabet does not fit byte output" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decode_alphabetic_depths_not_cutoff_balanced(tmp_path):
     # [1, 2, 3, 3] is order-realizable but not balanced below the cutoff:
     # decode needs only the codeword arrays, not the compiled B/S/A model

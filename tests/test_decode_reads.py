@@ -1,6 +1,7 @@
 """One read contract for the per-symbol decoders: each codeword costs one
 peek and one skip, and a stream cut inside a codeword raises
-TruncatedStream with the reader where the codeword starts."""
+TruncatedStream with the reader where the codeword starts. The bulk
+decoder is held to the same streams and cuts."""
 
 import functools
 
@@ -11,6 +12,7 @@ from ncpc.alphabetic import build_alphabetic_code
 from ncpc.bits import BitReader, BitWriter
 from ncpc.errors import TruncatedStream
 from ncpc.revcanon import RevCanonCode, build_descent_table, huffman_lengths
+from ncpc.stream import SequenceCodec
 from ncpc.table_codec import TableCode
 
 
@@ -46,14 +48,22 @@ def wmm_and_table_decoders(code: RevCanonCode):
     yield "table", tc, tc.decode
 
 
-def decoders(case):
+def models(case):
+    """(name, model) for the case's wmm and alpha codes; L64 is wmm only."""
     if case == "L64":
-        yield from wmm_and_table_decoders(RevCanonCode(list(range(1, 65)) + [64]))
+        yield "wmm", RevCanonCode(list(range(1, 65)) + [64])
         return
     freqs = seeded_freqs(case)
-    yield from wmm_and_table_decoders(RevCanonCode(huffman_lengths(freqs)))
-    alpha = build_alphabetic_code(freqs)
-    yield "alpha", alpha, alpha.decode
+    yield "wmm", RevCanonCode(huffman_lengths(freqs))
+    yield "alpha", build_alphabetic_code(freqs)
+
+
+def decoders(case):
+    for name, model in models(case):
+        if name == "wmm":
+            yield from wmm_and_table_decoders(model)
+        else:
+            yield name, model, model.decode
 
 
 @pytest.mark.parametrize("case", [1, 2, 5, 257, 4096, "L64"])
@@ -92,3 +102,15 @@ def test_one_peek_and_one_skip_per_codeword(case):
                 assert r.tell() == pos, (name, cut)
                 break
             assert (r.peeks, r.skips) == (calls, calls + 1), (name, cut)
+
+
+@pytest.mark.parametrize("case", [1, 2, 5, 257, 4096, "L64"])
+def test_bulk_decoder_on_the_every_character_stream(case):
+    for name, model in models(case):
+        sc = SequenceCodec.for_code(model)
+        chars = list(range(1, model.sigma + 1))
+        data, nbits = sc.encode(chars)
+        assert sc.decode(data, model.sigma, nbits).tolist() == chars, name
+        for cut in range(max(0, nbits - 200), nbits):
+            with pytest.raises(TruncatedStream):
+                sc.decode(data[:(cut + 7) // 8], model.sigma, cut)

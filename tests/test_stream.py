@@ -6,7 +6,7 @@ import pytest
 from conftest import primary_table_loop
 from ncpc.alphabetic import alphabetic_codewords, alphabetic_profile
 from ncpc.bits import BitReader, BitWriter
-from ncpc.codewords import revcanon_codewords
+from ncpc.codewords import check_kraft, revcanon_codewords
 from ncpc.errors import InvalidStream, KraftViolation, TruncatedStream
 from ncpc.revcanon import RevCanonCode, huffman_lengths
 from ncpc.stream import SequenceCodec
@@ -93,6 +93,16 @@ def test_codewords_over_64_bits_are_refused():
     assert sc.decode(data, 4, nbits).tolist() == [64, 65, 1, 65]
 
 
+def test_lengths_over_64_bits_are_refused_before_the_kraft_sum():
+    # the Kraft sum works on integers as wide as the longest length
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="64 bits"):
+        check_kraft([1, 10**5])
+    with pytest.raises(ValueError, match="64 bits"):
+        RevCanonCode([1, 10**5])
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_decode_checks_n_against_the_payload():
     sc = SequenceCodec.for_code(RevCanonCode([1, 2, 2]))
     t0 = time.perf_counter()
@@ -104,6 +114,16 @@ def test_decode_checks_n_against_the_payload():
     with pytest.raises(TruncatedStream):
         sc.decode(b"\x00", 9)  # nine codewords of at least one bit in eight bits
     assert sc.decode(b"\x00", 8).tolist() == [1] * 8
+
+
+def test_decode_refuses_nbits_past_the_buffer():
+    # the zero padding after the payload used to decode as codewords
+    sc = SequenceCodec.for_code(RevCanonCode([1, 2, 2]))
+    for data, nbits in ((b"", 100), (b"\x00", 9), (b"\x00", -1)):
+        with pytest.raises(ValueError, match="nbits exceeds the buffer"):
+            sc.decode(data, 3, nbits)
+    with pytest.raises(ValueError, match="nbits exceeds the buffer"):
+        BitReader(b"", 100)  # the same refusal as the per-symbol reader
 
 
 def test_decode_tables_match_the_per_character_fill(rng):
@@ -120,7 +140,7 @@ def test_decode_tables_match_the_per_character_fill(rng):
             tlen, tsym, long = primary_table_loop(vals.tolist(), lens.tolist())
             assert (getattr(sc, "_tlen", []), getattr(sc, "_tsym", [])) == (tlen, tsym)
             assert sc._long == long
-            assert sc._long_lengths == sorted(long)
+            assert list(sc._long) == sorted(long)  # decode probes lengths in this order
 
 
 def test_decode_table_fill_refuses_codes_past_kraft():
