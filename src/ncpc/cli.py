@@ -305,9 +305,11 @@ def cmd_bench(args) -> int:
             raise _UsageError(f"unknown codec: {c}")
     if args.time_symbols < 1:
         raise _UsageError(f"--time-symbols must be >= 1: {args.time_symbols}")
+    if args.reps < 1:
+        raise _UsageError(f"--reps must be >= 1: {args.reps}")
     dataset, seq = _bench_corpus(args)
     _pin_to_one_core()
-    rows = bench_rows(seq, codecs, [], dataset, args.time_symbols, max(3, args.reps))
+    rows = bench_rows(seq, codecs, [], dataset, args.time_symbols, args.reps)
     text = format_bench_csv(rows)
     if args.csv:
         with open(args.csv, "w") as f:
@@ -346,10 +348,9 @@ def _selftest_checks():
         seq = (rng.integers(1, 9, 300)).tolist()
         for weights in (None, [2**64 >> c for c in range(1, 9)]):
             wt = WaveletTree(seq, 8, weights)
-            for i in range(1, len(seq) + 1):
-                assert wt.access(i) == seq[i - 1]
-            for c in range(1, 9):
-                assert wt.rank(c, len(seq)) == seq.count(c)
+            for i, c in enumerate(seq, 1):     # every occurrence, against a scan
+                k = seq[:i].count(c)
+                assert wt.access(i) == c and wt.rank(c, i) == k and wt.select(c, k) == i
 
     def bitio_roundtrip():
         w = BitWriter()

@@ -81,6 +81,10 @@ class RevCanonCode:
         # t <= ceil(lg sigma) <= L, so every window fits in one peek
         self.t = ((sigma - 1).bit_length() + 1) // 2
         self.root, self.label = self._root_table(self.t)
+        # a descent step per depth d = 1..L: (d, leaves[d-1], half[d], leaves[d], L - d)
+        self._steps = tuple((d, self.leaves[d - 1], self._half[d], self.leaves[d], L - d)
+                            for d in range(1, L + 1))
+        self._below_root = self._steps[self.t:]
 
     def _root_table(self, t: int) -> tuple[list, list[int]]:
         """The root table over t <= L bits and its inverse label table.
@@ -171,33 +175,29 @@ class RevCanonCode:
 
         Peeks L <= 64 bits once. The root table answers from the first t of
         them: a codeword of at most t bits is returned with no descent and
-        no select on D; otherwise the descent resumes by rank arithmetic at
-        depth t over the bits below the window. Then skips the bits the
-        codeword used. decode_fast takes the same walk through a
-        DescentTable's root table.
+        no select on D; otherwise the descent resumes at depth t, child_rank
+        per bit below the window from one precomputed tuple per depth, and
+        one D.select names the leaf. Then skips the codeword's bits.
+        decode_fast takes the same walk through a DescentTable's root table.
         """
-        return self._descend(reader, self.t, self.root)
+        return self._descend(reader, self.t, self.root, self._below_root)
 
     def decode_fast(self, table: "DescentTable", reader: BitReader) -> tuple[int, int]:
         """decode() through the table's root table in place of the code's own."""
-        return self._descend(reader, table.t, table.root)
+        return self._descend(reader, table.t, table.root, self._steps[table.t:])
 
-    def _descend(self, reader: BitReader, t: int, root: list) -> tuple[int, int]:
-        """decode() from a root table over the first t <= L bits."""
+    def _descend(self, reader: BitReader, t: int, root: list, steps: tuple) -> tuple[int, int]:
+        """decode() from a root table over the first t <= L bits, then depths t+1..L."""
         L = self.L
         chunk = reader.peek(L)
         e = root[chunk >> (L - t)]
         if type(e) is not tuple:
-            leaves = self.leaves
-            half = self._half
-            d = t
             r = e
-            for shift in range(L - t - 1, -1, -1):
-                d += 1
-                r -= leaves[d - 1]
-                if (chunk >> shift) & 1:
-                    r += half[d]
-                if r <= leaves[d]:
+            for d, up, half, leaves, shift in steps:
+                r -= up
+                if chunk >> shift & 1:
+                    r += half
+                if r <= leaves:
                     break
             else:
                 raise InvalidCodeState("invalid code state")

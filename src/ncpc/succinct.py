@@ -11,7 +11,8 @@ bits (the bytes before it in its 64-bit block), an O(1) function of
 accounted entries, so the accounted size is the two-level directory's.
 Rank reads one count and pops at most 7 bits; each select is one bisect
 over one whole count list plus one lookup in a 256-entry table of
-in-byte positions, so no select samples are stored or counted.
+in-byte positions, so no select samples are stored or counted, and the
+wavelet matrix's select chains one such step per level of a codeword.
 """
 
 from __future__ import annotations
@@ -125,7 +126,8 @@ class WaveletTree:
     matrix is Huffman-shaped and heavy symbols leave early. weights[c-1]
     is symbol c's weight, a positive integer of any size wherever c
     occurs; without weights, each symbol weighs its count in seq. select
-    bisects each level's whole rank directory, as Bitvector.select1 does.
+    walks a symbol's steps, precomputed per level from its codeword's bit
+    there, from the bottom up: each is Bitvector.select1 or select0 inlined.
     """
 
     def __init__(self, seq, alpha: int, weights=None) -> None:
@@ -184,13 +186,18 @@ class WaveletTree:
             dropped = ended
         # The same levels as flat tuples of the fields each walk reads, so a
         # query step loads no Bitvector attribute: top-down for access_rank,
-        # and per codeword length ln, the first ln levels bottom-up for select.
+        # and for select each level's select0 and select1 step, k = q - off.
         levels = self._levels
         self._access_walk = tuple((bv._bytes, bv._ranks, zeros, ended, leaf)
                                   for bv, zeros, _, ended, leaf in levels)
-        self._select_walks = tuple(tuple((bv._bytes, bv._ranks, bv._zranks, zeros, dropped)
-                                         for bv, zeros, dropped, _, _ in reversed(levels[:ln]))
-                                   for ln in range(self.height + 1))
+        steps = [((bv._bytes, bv._zranks, _SEL0, -1, dropped),
+                  (bv._bytes, bv._ranks, _SEL8, zeros - 1, dropped))
+                 for bv, zeros, dropped, _, _ in levels]
+        self._selects: list = [None] * (alpha + 1)    # (block start, count, steps)
+        for s, (v, ln, start, end) in self._codes.items():
+            # the step its codeword's bit picks at each of its levels, bottom up
+            self._selects[s] = (start, end - start, tuple(
+                steps[k][v >> (ln - 1 - k) & 1] for k in range(ln - 1, -1, -1)))
 
     def access_rank(self, i: int) -> tuple[int, int]:
         """(c, rank(c, i)) for the symbol c at position i, in one walk."""
@@ -241,22 +248,14 @@ class WaveletTree:
             raise ValueError(f"symbol out of range: {c}")
         if r < 1:
             raise ValueError(f"select rank out of range: {r}")
-        code = self._codes.get(c)
-        if code is None or r > code[3] - code[2]:
+        start, count, steps = self._selects[c] or (0, 0, ())
+        if r > count:
             raise NoSuchOccurrence(f"no occurrence {r} of symbol {c}")
-        val, ln, start, _ = code
-        q = start + r - 1   # 0-based position among the entries at level ln
-        # up from the level where the codeword ends: bv.select1/select0, inlined
-        for data, ranks, zranks, zeros, dropped in self._select_walks[ln]:
-            if val & 1:     # the k-th 1-bit
-                k = q - zeros + 1
-                j = bisect_left(ranks, k) - 1
-                q = (j << 3) + dropped + _SEL8[data[j]][k - ranks[j]]
-            else:           # the k-th 0-bit
-                k = q + 1
-                j = bisect_left(zranks, k) - 1
-                q = (j << 3) + dropped + _SEL0[data[j]][k - zranks[j]]
-            val >>= 1
+        q = start + r - 1   # 0-based, among the entries where the codeword ends
+        for data, counts, table, off, dropped in steps:
+            k = q - off
+            j = bisect_left(counts, k) - 1
+            q = (j << 3) + dropped + table[data[j]][k - counts[j]]
         return q + 1
 
     def size_bits(self) -> int:

@@ -227,11 +227,30 @@ def test_usage_errors(capsys):
     ["--zipf", "100,0,1"],
     ["--zipf", "100,16,-1"],
     ["--codecs", ""],
+    ["--reps", "0"],
+    ["--reps", "-1"],
 ])
 def test_bench_argument_errors(flags, capsys):
     assert run(["bench", "--zipf", "500,16,1.0"] + flags) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("flags, reps", [([], 3), (["--reps", "1"], 1)])
+def test_bench_times_the_reps_asked_for(flags, reps, monkeypatch, capsys):
+    import ncpc.cli
+    real = ncpc.cli.bench_rows
+    seen = []
+
+    def spy(*args):
+        seen.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(ncpc.cli, "bench_rows", spy)
+    assert run(["bench", "--zipf", "2000,64,1.0", "--codecs", "table",
+                "--time-symbols", "100"] + flags) == EXIT_OK
+    assert seen == [reps]
+    capsys.readouterr()
 
 
 def test_missing_file_is_data_error(capsys):
@@ -396,3 +415,17 @@ def test_selftest_corrupt_hook_fails(monkeypatch, capsys):
     monkeypatch.setattr(ncpc.cli, "RevCanonCode", corrupted)
     assert run(["selftest"]) == EXIT_SELFTEST
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_selftest_checks_every_wavelet_select(monkeypatch, capsys):
+    """A select that misplaces only the last occurrence of one symbol fails the oracle."""
+    from ncpc.succinct import WaveletTree
+    real = WaveletTree.select
+
+    def off_at_the_end(self, c, r):
+        p = real(self, c, r)
+        return p + 1 if c == 5 and r == self.rank(5, self.sigma_seq) else p
+
+    monkeypatch.setattr(WaveletTree, "select", off_at_the_end)
+    assert run(["selftest"]) == EXIT_SELFTEST
+    assert "FAIL wavelet-oracle" in capsys.readouterr().out

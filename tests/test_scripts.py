@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ncpc.cli import BENCH_COLUMNS
+from ncpc.stream import SequenceCodec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +40,19 @@ def test_throughput_smoke_round_trips():
     proc = run_script("throughput_smoke.py", "--n", "20000", "--sigma", "256")
     assert proc.returncode == 0, proc.stderr
     assert "total" in proc.stdout
+
+
+def test_throughput_smoke_fails_when_decode_differs(monkeypatch, capsys):
+    real = SequenceCodec.decode
+
+    def off_by_one(self, *args):
+        out = real(self, *args)
+        out[0] += 1
+        return out
+
+    monkeypatch.setattr(SequenceCodec, "decode", off_by_one)
+    monkeypatch.setattr(sys, "argv", ["throughput_smoke.py", "--n", "2000", "--sigma", "64"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "throughput_smoke.py"), run_name="__main__")
+    assert exc.value.code == 1
+    assert "alpha: decode does not give back the corpus" in capsys.readouterr().err
