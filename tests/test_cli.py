@@ -229,6 +229,7 @@ def test_usage_errors(capsys):
     ["--codecs", ""],
     ["--reps", "0"],
     ["--reps", "-1"],
+    ["--codecs", "wmm,wmm"],
 ])
 def test_bench_argument_errors(flags, capsys):
     assert run(["bench", "--zipf", "500,16,1.0"] + flags) == EXIT_USAGE
@@ -285,6 +286,18 @@ def test_bench_csv_columns(tmp_path):
         # ratios carry 4 decimals, integers are unadorned
         assert "." in row["H0_D"] and len(row["H0_D"].split(".")[1]) == 4
         assert "." not in row["sigma"]
+
+
+def test_bench_csv_quotes_a_dataset_with_a_comma(tmp_path, capsys):
+    import csv
+    src = tmp_path / "x,y.txt"
+    src.write_text("the cat sat on the mat, and the dog sat on the log")
+    assert run(["bench", str(src), "--mode", "tokens", "--codecs", "wmm",
+                "--time-symbols", "50", "--reps", "1"]) == EXIT_OK
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == BENCH_COLUMNS
+    assert len(rows[1]) == len(BENCH_COLUMNS) == 11
+    assert rows[1][0] == "x,y.txt"
 
 
 def test_bench_single_codec_row(capsys):
@@ -398,8 +411,10 @@ def test_bench_wmm_model_smaller_than_table(capsys):
 def test_selftest_passes(capsys):
     assert run(["selftest"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert out.count("ok   ") >= 10
-    assert "all checks passed" in out
+    names = ["wmm-five-char", "wmm-roundtrip", "alpha-roundtrip", "table-roundtrip",
+             "container-roundtrip", "container-refuses-bad-bytes"]
+    assert out.splitlines() == [f"ok   {name}" for name in names] + ["all checks passed"]
+    assert "FAIL" not in out
 
 
 def test_selftest_corrupt_hook_fails(monkeypatch, capsys):
@@ -418,7 +433,8 @@ def test_selftest_corrupt_hook_fails(monkeypatch, capsys):
 
 
 def test_selftest_checks_every_wavelet_select(monkeypatch, capsys):
-    """A select that misplaces only the last occurrence of one symbol fails the oracle."""
+    """A select that misplaces only the last occurrence of one symbol fails the
+    selftest: decoding every codeword of the sigma = 64 code selects it."""
     from ncpc.succinct import WaveletTree
     real = WaveletTree.select
 
@@ -428,4 +444,4 @@ def test_selftest_checks_every_wavelet_select(monkeypatch, capsys):
 
     monkeypatch.setattr(WaveletTree, "select", off_at_the_end)
     assert run(["selftest"]) == EXIT_SELFTEST
-    assert "FAIL wavelet-oracle" in capsys.readouterr().out
+    assert "FAIL wmm-roundtrip" in capsys.readouterr().out
