@@ -10,7 +10,7 @@ from .alphabetic import (CompactAlphabeticCode, DepthProfile, balance_at_cutoff,
                          build_alphabetic_code, build_height_restricted,
                          build_optimal_alphabetic, compile_code, cutoff_for,
                          expected_length, height_cap_for)
-from .bits import BitReader, BitWriter
+from .bits import BitReader, pack_bits
 from .corpus import (Container, CorpusStats, SymbolSequence, container_read,
                      container_write, gen_zipf, ingest, stats)
 from .codewords import huffman_lengths
@@ -24,7 +24,7 @@ from .table_codec import TableCode
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitReader", "BitWriter", "Bitvector", "WaveletTree",
+    "BitReader", "pack_bits", "Bitvector", "WaveletTree",
     "DepthProfile", "CompactAlphabeticCode", "build_optimal_alphabetic",
     "build_height_restricted", "balance_at_cutoff", "compile_code",
     "build_alphabetic_code", "expected_length", "cutoff_for", "height_cap_for",

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bits import BitReader
-from .codewords import int_list, parent_depths
+from .codewords import MAX_CODEWORD_BITS, int_list, parent_depths
 from .errors import KraftViolation, TruncatedStream, Underflow
 from .succinct import Bitvector
 
@@ -59,7 +59,14 @@ def canonical_codewords(depths) -> list[tuple[int, int]]:
 
 
 def alphabetic_codewords(depths) -> tuple[np.ndarray, np.ndarray]:
-    """canonical_codewords as (values, lengths) arrays, with its validation."""
+    """canonical_codewords as (values, lengths) arrays, with its validation.
+
+    Raises ValueError above MAX_CODEWORD_BITS before building any codeword,
+    since the values are held in uint64.
+    """
+    depths = int_list(depths)
+    if depths and max(depths) > MAX_CODEWORD_BITS:
+        raise ValueError(f"codewords longer than {MAX_CODEWORD_BITS} bits")
     vals = np.array([v for v, _ in canonical_codewords(depths)], dtype=np.uint64)
     return vals, np.asarray(depths, dtype=np.int64)
 
@@ -302,7 +309,8 @@ class CompactAlphabeticCode:
 
     encode and decode perform a constant number of rank/select calls plus
     arithmetic on the completely balanced subtrees; no code table of size
-    sigma is stored beyond the marker structures.
+    sigma is stored beyond the marker structures. encode reads B and S,
+    decode only B and A.
     """
 
     def __init__(self, profile: DepthProfile):
@@ -369,7 +377,7 @@ class CompactAlphabeticCode:
             r = ipp - e
             h = (r - 1).bit_length()
             l = self.cutoff + h
-            d = (w >> (cap - l)) - self.S[rk - 1][0]
+            d = (w >> (cap - l)) & ((1 << h) - 1)  # the offset after the run's prefix
             if d < 2 * r - (1 << h):
                 e = (e + d, l)
             else:

@@ -1,49 +1,53 @@
 """MSB-first bit streams.
 
-BitWriter packs values most-significant-bit first into a growing byte
-buffer; BitReader consumes them in the same order. peek() zero-pads past
+pack_bits packs arrays of values most-significant-bit first into bytes;
+BitReader consumes them in the same order. peek() zero-pads past
 the end of the stream, read()/skip() never move the cursor past the last
 real bit.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import Underflow
 
 
-class BitWriter:
-    """Append-only MSB-first bit buffer."""
+_CHUNK = 1 << 16  # values unpacked at a time, one byte per bit: 4 MiB
 
-    __slots__ = ("_bytes", "_acc", "_nacc")
 
-    def __init__(self) -> None:
-        self._bytes = bytearray()
-        self._acc = 0
-        self._nacc = 0
+def pack_bits(values, widths) -> tuple[bytes, int]:
+    """Pack the low widths[k] bits of each values[k], MSB-first and in order.
 
-    def write(self, value: int, width: int) -> None:
-        if width < 0 or width > 64:
-            raise ValueError(f"width out of range: {width}")
-        if value < 0 or value >> width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        acc = (self._acc << width) | value
-        nacc = self._nacc + width
-        while nacc >= 8:
-            nacc -= 8
-            self._bytes.append((acc >> nacc) & 0xFF)
-        self._acc = acc & ((1 << nacc) - 1)
-        self._nacc = nacc
-
-    @property
-    def bit_length(self) -> int:
-        return len(self._bytes) * 8 + self._nacc
-
-    def getvalue(self) -> bytes:
-        """Buffer contents, zero-padded to a whole number of bytes."""
-        out = bytearray(self._bytes)
-        if self._nacc:
-            out.append((self._acc << (8 - self._nacc)) & 0xFF)
-        return bytes(out)
+    widths may be one width for every value. Returns (bytes zero-padded to
+    a byte boundary, exact bit count). Raises ValueError for a width outside
+    0..64 or a value that is negative or wider than its width.
+    """
+    src = np.asarray(values)
+    if src.dtype.kind == "i" and src.size and src.min() < 0:
+        raise ValueError("negative value")
+    try:  # a Python int below 0 or wider than 64 bits overflows here
+        vals = np.asarray(values, dtype=np.uint64)
+        wids = np.broadcast_to(np.asarray(widths, dtype=np.int64), vals.shape)
+    except OverflowError as e:
+        raise ValueError(str(e)) from None
+    if wids.size and (wids.min() < 0 or wids.max() > 64):
+        raise ValueError("width out of range 0..64")
+    total = int(wids.sum())
+    bits = np.empty(total, dtype=np.uint8)
+    cols = np.arange(64)
+    pos = 0
+    for start in range(0, vals.size, _CHUNK):
+        v = vals[start:start + _CHUNK]
+        w = wids[start:start + _CHUNK].astype(np.uint8)
+        short = w < 64  # numpy may mask a shift count of 64
+        if np.any(v[short] >> w[short]):
+            raise ValueError("value does not fit in its width")
+        rows = np.unpackbits(v.astype(">u8").view(np.uint8)).reshape(-1, 64)
+        kept = rows[cols >= 64 - w[:, None]]  # the low w bits of each row, in order
+        bits[pos:pos + kept.size] = kept
+        pos += kept.size
+    return np.packbits(bits).tobytes(), total
 
 
 class BitReader:

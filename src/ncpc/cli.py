@@ -1,8 +1,6 @@
 """Command line interface: analyze, encode, decode, bench, selftest.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 selftest failure.
-The environment variable NCPC_SEED overrides the default generator seed;
-an explicit --seed flag beats both.
 """
 
 from __future__ import annotations
@@ -46,16 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("NCPC_SEED")
-    if env is None:
-        return 42
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"NCPC_SEED is not an integer: {env!r}") from None
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="ncpc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -86,7 +74,7 @@ def build_parser() -> _Parser:
     pb.add_argument("--time-symbols", type=int, default=20000,
                     help="symbols per timing repetition")
     pb.add_argument("--reps", type=int, default=3)
-    pb.add_argument("--seed", type=int, default=None)
+    pb.add_argument("--seed", type=int, default=42)
 
     sub.add_parser("selftest", help="round-trip each code family and the container "
                    "through the public API")
@@ -213,14 +201,13 @@ def _median_ns_per_symbol(fn, count: int, reps: int) -> float:
 
 def _bench_corpus(args) -> tuple[str, SymbolSequence]:
     if args.zipf:
-        seed = args.seed if args.seed is not None else _default_seed()
         try:
             parts = args.zipf.split(",")
             n, sigma, s = int(parts[0]), int(parts[1]), float(parts[2])
-            seq = gen_zipf(n, sigma, s, seed)  # its ValueError: n, sigma or s out of range
+            seq = gen_zipf(n, sigma, s, args.seed)  # its ValueError: n, sigma or s out of range
         except (ValueError, IndexError):
             raise _UsageError(f"bad --zipf value: {args.zipf}") from None
-        return (f"zipf(n={n} sigma={sigma} s={s:g} seed={seed})", seq)
+        return (f"zipf(n={n} sigma={sigma} s={s:g} seed={args.seed})", seq)
     if not args.input:
         raise _UsageError("bench needs an input path or --zipf")
     return (os.path.basename(args.input), ingest(_read_input(args.input), args.mode))

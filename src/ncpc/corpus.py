@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .alphabetic import alphabetic_codewords, alphabetic_profile
+from .bits import pack_bits
 from .codewords import MAX_CODEWORD_BITS, huffman_lengths, revcanon_codewords
 from .errors import ContainerError, KraftViolation
 
@@ -183,8 +184,6 @@ def container_write(depths, family: int, payload: bytes, n: int) -> bytes:
         raise ValueError("empty model")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if max(depths) > MAX_CODEWORD_BITS:
-        raise ValueError(f"max codeword length exceeds {MAX_CODEWORD_BITS}")
     family_codewords(family, depths)  # validates the depths for the family
     return _container_bytes(depths, family, payload, n)
 
@@ -196,11 +195,9 @@ def _container_bytes(depths: list[int], family: int, payload: bytes, n: int) -> 
     if sigma > 0xFFFFFFFF:
         raise ValueError("sigma exceeds 32 bits")
 
-    width = L.bit_length()  # ceil(lg(L+1))
-    # the low `width` bits of each depth, MSB-first, packed and zero-padded
-    fields = np.unpackbits(np.array(depths, dtype=np.uint8)[:, None], axis=1)[:, 8 - width:]
+    fields, _ = pack_bits(depths, L.bit_length())  # ceil(lg(L+1)) bits per depth
     return b"".join((MAGIC, bytes([VERSION, family]), sigma.to_bytes(4, "little"),
-                     n.to_bytes(8, "little"), bytes([L]), np.packbits(fields).tobytes(), payload))
+                     n.to_bytes(8, "little"), bytes([L]), fields, payload))
 
 
 def container_read(data: bytes) -> Container:

@@ -2,15 +2,17 @@
 
 This is throughput plumbing for whole-file encode/decode: the per-symbol
 codecs define the codes; this packs or unpacks long symbol runs through
-them efficiently (vectorized bit packing, and table-driven decoding that
-reads every codeword from one bit accumulator: a 16-bit primary table for
-codewords of at most 16 bits, and one dict per longer length).
+them efficiently. Encode looks up every symbol's codeword at once and
+hands them to bits.pack_bits; decode is table-driven and reads every
+codeword from one bit accumulator: a 16-bit primary table for codewords
+of at most 16 bits, and one dict per longer length.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .bits import pack_bits
 from .codewords import MAX_CODEWORD_BITS
 from .errors import InvalidStream, KraftViolation, TruncatedStream
 
@@ -62,29 +64,12 @@ class SequenceCodec:
 
         Returns (payload bytes zero-padded to a byte boundary, exact bit count).
         """
-        arr = np.asarray(symbols, dtype=np.int64)
-        if arr.size and (arr.min() < 1 or arr.max() > self.sigma):
+        idx = np.asarray(symbols, dtype=np.int64) - 1
+        if idx.size and (idx.min() < 0 or idx.max() >= self.sigma):
             raise ValueError("symbol id out of range")
-        if self.max_len == 0 or not arr.size:
-            return (b"", 0)
-        lens = self._lens[arr - 1]
-        vals = self._vals[arr - 1]
-        offs = np.zeros(arr.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=offs[1:])
-        total = int(offs[-1] + lens[-1])
-        maxlen = int(lens.max())
-        narrow = total < 2**31 and maxlen <= 32
-        if narrow:
-            lens = lens.astype(np.int32)
-            vals = vals.astype(np.uint32)
-            offs = offs.astype(np.int32)
-        bits = np.zeros(total, dtype=np.uint8)
-        one = np.uint32(1) if narrow else np.uint64(1)
-        for b in range(maxlen):
-            act = lens > b
-            shift = (lens[act] - 1 - b).astype(vals.dtype)
-            bits[offs[act] + b] = ((vals[act] >> shift) & one).astype(np.uint8)
-        return (np.packbits(bits).tobytes(), total)
+        vals, lens = self._vals[idx], self._lens[idx]
+        del idx  # one array of n fewer while pack_bits works
+        return pack_bits(vals, lens)
 
     # -- decode -----------------------------------------------------------
 

@@ -5,9 +5,9 @@ linear scans, exhaustive tree enumeration, a greedy explicit-tree codec,
 the alphabetic B/S/A tables read off the codeword strings,
 a two-queue Huffman cost, an interval DP for optimal ordered trees, the
 earlier list-rescanning Garsia-Wachs and heap Huffman builders, the
-per-character fill of the bulk codec's decode tables, and the per-bit
-reverse-canonical decode that the root table replaced. Tests compare
-library output against these.
+per-character fill of the bulk codec's decode tables, the per-bit
+reverse-canonical decode that the root table replaced, and bit packing
+by Python-int concatenation. Tests compare library output against these.
 """
 
 from __future__ import annotations
@@ -435,6 +435,27 @@ def revcanon_encode_per_bit(code) -> list[tuple[int, int]]:
             v |= bit << (l - d)
         out.append((v, l))
     return out
+
+
+# -- bit packing one value at a time -------------------------------------------
+
+def pack_bits_reference(values, widths) -> tuple[bytes, int]:
+    """pack_bits by Python-int concatenation, acc = (acc << w) | v: (bytes
+    zero-padded to a byte boundary, bit count). Values are concatenated in
+    blocks of 256 first, then the blocks, so a long input stays fast."""
+    blocks = []
+    for start in range(0, len(values), 256):
+        acc = nb = 0
+        for v, w in zip(values[start:start + 256], widths[start:start + 256]):
+            acc = (acc << w) | v
+            nb += w
+        blocks.append((acc, nb))
+    acc = nbits = 0
+    for a, w in blocks:
+        acc = (acc << w) | a
+        nbits += w
+    pad = -nbits % 8
+    return (acc << pad).to_bytes((nbits + pad) // 8, "big"), nbits
 
 
 # -- misc ---------------------------------------------------------------------

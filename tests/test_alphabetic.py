@@ -15,7 +15,7 @@ from ncpc.alphabetic import (DepthProfile, alphabetic_profile, balance_at_cutoff
                              compile_code, cutoff_for, expected_length,
                              garsia_wachs, height_cap_for)
 from ncpc.corpus import gen_zipf
-from ncpc.bits import BitReader, BitWriter
+from ncpc.bits import BitReader, pack_bits
 from ncpc.errors import KraftViolation, TruncatedStream
 
 
@@ -206,12 +206,8 @@ def test_encode_examples_sigma4():
 
 def test_decode_examples_sigma4():
     code = compile_code(DepthProfile((2, 2, 2, 2)), 4)
-    w = BitWriter()
-    w.write(0b11, 2)
-    assert code.decode(BitReader(w.getvalue(), 2)) == (4, 2)
-    w = BitWriter()
-    w.write(0b00, 2)
-    assert code.decode(BitReader(w.getvalue(), 2)) == (1, 2)
+    assert code.decode(BitReader(*pack_bits([0b11], [2]))) == (4, 2)
+    assert code.decode(BitReader(*pack_bits([0b00], [2]))) == (1, 2)
     with pytest.raises(TruncatedStream):
         code.decode(BitReader(b"", 0))
 
@@ -227,9 +223,7 @@ def test_subtree_arithmetic_example():
     # i = i' + 2: 1000/2 + 2 - (3 - 2) = 101, one bit shorter
     assert code.encode(5) == (0b101, 3)
     # stream 1011: d = 1011 - 1000 = 3 >= 2r - 2^h = 2 -> char i'+2, length 3
-    w = BitWriter()
-    w.write(0b1011, 4)
-    r = BitReader(w.getvalue(), 4)
+    r = BitReader(*pack_bits([0b1011], [4]))
     assert code.decode(r) == (5, 3)
     assert r.remaining == 1
 
@@ -242,11 +236,7 @@ def test_codec_agrees_with_explicit_tree_reference(rng):
         for i in range(1, sigma + 1):
             assert code.encode(i) == ref.encode(i)
         msg = rng.integers(1, sigma + 1, 60).tolist()
-        w = BitWriter()
-        for m in msg:
-            v, l = ref.encode(m)
-            w.write(v, l)
-        r = BitReader(w.getvalue(), w.bit_length)
+        r = BitReader(*pack_bits(*zip(*[ref.encode(m) for m in msg])))
         for m in msg:
             c, _ = code.decode(r)
             assert c == m
@@ -255,11 +245,7 @@ def test_codec_agrees_with_explicit_tree_reference(rng):
 def test_roundtrip_all_small_sigma(rng):
     for sigma in range(2, 70):
         code = build_alphabetic_code(rng.integers(1, 100, sigma).tolist())
-        w = BitWriter()
-        for i in range(1, sigma + 1):
-            v, l = code.encode(i)
-            w.write(v, l)
-        r = BitReader(w.getvalue(), w.bit_length)
+        r = BitReader(*pack_bits(*zip(*[code.encode(i) for i in range(1, sigma + 1)])))
         for i in range(1, sigma + 1):
             c, l = code.decode(r)
             assert c == i and l == code.encode(i)[1]

@@ -53,6 +53,35 @@ def test_encode_decode_roundtrip_bytes(tmp_path, rng):
         assert dec.read_bytes() == raw
 
 
+# `ncpc encode --mode bytes` of GOLDEN_INPUT per family: any change to how
+# the header, the depth fields or the payload are laid out fails the test
+GOLDEN_INPUT = b"abracadabra, alakazam!\n"
+GOLDEN_HEX = {
+    "wmm": (
+        "4e4350310101000100001700000000000000099999999999999999998888888888888888"
+        "888888888888888888888888888888888888888888888888888888888888888578888888"
+        "888888887888888888888888888888888888888888888888888888888888888888888888"
+        "888888888888888888888888888888888888888888888888888888888888888888888888"
+        "8888880404002a0550202005c4402e80740d603d240fc0"),
+    "alpha": (
+        "4e4350310100000100001700000000000000098888888888888888888888888888888888"
+        "888888888888888888888888888888888888888888888888888888888899888588788888"
+        "888998888878888888888888888888888888888888888888888888888888888888888888"
+        "888888888888888888888888888888888888888888888888888888899998899998899998"
+        "8998886343c31a58d58d0f0c2c20639b1c9902c7410850"),
+}
+
+
+@pytest.mark.parametrize("codec", ["wmm", "alpha"])
+def test_encode_bytes_are_pinned(tmp_path, codec):
+    src, enc, dec = tmp_path / "in.txt", tmp_path / "in.ncpc", tmp_path / "out.txt"
+    src.write_bytes(GOLDEN_INPUT)
+    assert run(["encode", str(src), str(enc), "--codec", codec, "--mode", "bytes"]) == EXIT_OK
+    assert enc.read_bytes().hex() == GOLDEN_HEX[codec]
+    assert run(["decode", str(enc), str(dec)]) == EXIT_OK
+    assert dec.read_bytes() == GOLDEN_INPUT
+
+
 def test_encode_decode_roundtrip_u32le(tmp_path, rng):
     vals = rng.integers(0, 900, 3000, dtype=np.uint32)
     raw = vals.astype("<u4").tobytes()
@@ -324,12 +353,12 @@ def test_bench_deterministic_nontiming_columns(capsys):
     assert rows[0] == rows[1]
 
 
-def test_bench_seed_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NCPC_SEED", "777")
-    assert run(["bench", "--zipf", "3000,64,1.0", "--codecs", "table",
-                "--time-symbols", "300"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "seed=777" in out
+def test_bench_seed_defaults_to_42(capsys):
+    argv = ["bench", "--zipf", "3000,64,1.0", "--codecs", "table", "--time-symbols", "300"]
+    assert run(argv) == EXIT_OK
+    assert "seed=42" in capsys.readouterr().out
+    assert run(argv + ["--seed", "777"]) == EXIT_OK
+    assert "seed=777" in capsys.readouterr().out
 
 
 def test_bench_rows_report_each_codes_own_depths():

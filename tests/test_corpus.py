@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ncpc.bits import BitReader, BitWriter
+from conftest import pack_bits_reference
+from ncpc.bits import BitReader, pack_bits
 from ncpc.corpus import (FAMILY_ALPHA, FAMILY_WMM, container_read, container_write,
                          gen_zipf, ingest, stats)
 from ncpc.errors import ContainerError
@@ -188,15 +189,13 @@ def test_container_zero_width_depths_need_sigma_one():
 
 def test_container_refuses_codewords_over_64_bits():
     long = list(range(1, 70)) + [69]
-    with pytest.raises(ValueError, match="64"):
-        container_write(long, FAMILY_WMM, b"", 3)
-    ok = container_write(list(range(1, 65)) + [64], FAMILY_WMM, b"", 0)
-    assert max(container_read(ok).depths) == 64  # 64 bits is the limit
-    w = BitWriter()
-    for d in long:
-        w.write(d, 7)
+    for family in (FAMILY_WMM, FAMILY_ALPHA):
+        with pytest.raises(ValueError, match="64"):
+            container_write(long, family, b"", 3)
+        ok = container_write(list(range(1, 65)) + [64], family, b"", 0)
+        assert max(container_read(ok).depths) == 64  # 64 bits is the limit
     blob = (ok[:6] + (70).to_bytes(4, "little") + (3).to_bytes(8, "little")
-            + bytes([69]) + w.getvalue() + b"\x00" * 40)
+            + bytes([69]) + pack_bits(long, 7)[0] + b"\x00" * 40)
     with pytest.raises(ContainerError, match="64"):
         container_read(blob)
 
@@ -222,10 +221,9 @@ def test_container_roundtrip_random_models(rng):
         payload = rng.bytes(int(rng.integers(0, 60)))
         n = int(rng.integers(0, 1000))
         blob = container_write(depths, family, payload, n)
-        w = BitWriter()  # one write per field, the reference for the packed depth array
-        for d in depths:
-            w.write(d, max(depths).bit_length())
-        assert blob[19:] == w.getvalue() + payload
+        # one field per depth, the reference for the packed depth array
+        fields, _ = pack_bits_reference(depths, [max(depths).bit_length()] * sigma)
+        assert blob[19:] == fields + payload
         cont = container_read(blob)
         assert cont.family == family
         assert cont.sigma == sigma

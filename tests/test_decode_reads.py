@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ncpc.alphabetic import build_alphabetic_code
-from ncpc.bits import BitReader, BitWriter
+from ncpc.bits import BitReader, pack_bits
 from ncpc.errors import TruncatedStream
 from ncpc.revcanon import RevCanonCode, build_descent_table, huffman_lengths
 from ncpc.stream import SequenceCodec
@@ -70,10 +70,7 @@ def decoders(case):
 def test_one_peek_and_one_skip_per_codeword(case):
     for name, model, decode in decoders(case):
         cws = [model.encode(c) for c in range(1, model.sigma + 1)]
-        w = BitWriter()
-        for v, l in cws:
-            w.write(v, l)
-        data, nbits = w.getvalue(), w.bit_length
+        data, nbits = pack_bits(*zip(*cws))
         starts = []
         r = CountingReader(data, nbits)
         for c, (_, l) in enumerate(cws, 1):

@@ -10,7 +10,7 @@ from conftest import (bits_of, huffman_cost_twoqueue, huffman_lengths_heap,
                       kraft_complete_multisets, revcanon_decode_per_bit,
                       revcanon_encode_per_bit, revlex_char_codewords,
                       tie_heavy_weight_cases)
-from ncpc.bits import BitReader, BitWriter
+from ncpc.bits import BitReader, pack_bits
 from ncpc.corpus import gen_zipf
 from ncpc.errors import KraftViolation, NcpcError, NoSuchOccurrence, TruncatedStream
 from ncpc.revcanon import RevCanonCode, build_descent_table, huffman_lengths
@@ -161,24 +161,16 @@ def test_codeword_set_examples():
 
 def test_decode_examples():
     code = RevCanonCode(FIVE)
-    w = BitWriter()
-    w.write(0b1111, 4)
-    assert code.decode(BitReader(w.getvalue(), 4)) == (5, 4)
-    w = BitWriter()
-    w.write(0b0, 1)
-    assert code.decode(BitReader(w.getvalue(), 1)) == (1, 1)
+    assert code.decode(BitReader(*pack_bits([0b1111], [4]))) == (5, 4)
+    assert code.decode(BitReader(*pack_bits([0b0], [1]))) == (1, 1)
     c2 = RevCanonCode([2, 2, 2, 2])
-    w = BitWriter()
-    w.write(0b10, 2)
-    assert c2.decode(BitReader(w.getvalue(), 2)) == (2, 2)
+    assert c2.decode(BitReader(*pack_bits([0b10], [2]))) == (2, 2)
 
 
 def test_decode_truncated_stream():
     code = RevCanonCode(FIVE)
-    w = BitWriter()
-    w.write(0b111, 3)  # prefix of a 4-bit codeword
     with pytest.raises(TruncatedStream, match="truncated stream"):
-        code.decode(BitReader(w.getvalue(), 3))
+        code.decode(BitReader(*pack_bits([0b111], [3])))  # prefix of a 4-bit codeword
 
 
 def test_zipf_4096_encode_decode_match_codeword_arrays():
@@ -186,18 +178,13 @@ def test_zipf_4096_encode_decode_match_codeword_arrays():
                         shape="huffman")
     vals, lens = (a.tolist() for a in code.codeword_arrays())
     assert [code.encode(c) for c in range(1, code.sigma + 1)] == list(zip(vals, lens))
-    w = BitWriter()
-    for v, l in zip(vals, lens):
-        w.write(v, l)
-    r = BitReader(w.getvalue(), w.bit_length)
+    r = BitReader(*pack_bits(vals, lens))
     assert [code.decode(r) for _ in vals] == list(zip(range(1, code.sigma + 1), lens))
     assert r.remaining == 0
     # a payload that stops one bit short of the longest codeword
     c = lens.index(code.L) + 1
-    w = BitWriter()
-    w.write(vals[c - 1] >> 1, code.L - 1)
     with pytest.raises(TruncatedStream):
-        code.decode(BitReader(w.getvalue(), code.L - 1))
+        code.decode(BitReader(*pack_bits([vals[c - 1] >> 1], [code.L - 1])))
 
 
 def test_sixty_four_bit_codewords_roundtrip():
@@ -206,11 +193,8 @@ def test_sixty_four_bit_codewords_roundtrip():
     code = RevCanonCode(lengths)
     vals, lens = (a.tolist() for a in code.codeword_arrays())
     assert [code.encode(c) for c in range(1, 66)] == list(zip(vals, lens))
-    w = BitWriter()
     msg = list(range(65, 0, -1)) + [1, 64, 65, 33]
-    for m in msg:
-        w.write(*code.encode(m))
-    r = BitReader(w.getvalue(), w.bit_length)
+    r = BitReader(*pack_codewords(code, msg))
     assert [code.decode(r) for _ in msg] == [(m, lengths[m - 1]) for m in msg]
     assert r.remaining == 0
 
@@ -236,11 +220,7 @@ def test_roundtrip_random(rng):
         sigma = int(rng.integers(1, 700))
         code = RevCanonCode(huffman_lengths(rng.integers(1, 200, sigma).tolist()))
         msg = rng.integers(1, sigma + 1, 120).tolist()
-        w = BitWriter()
-        for m in msg:
-            v, l = code.encode(m)
-            w.write(v, l)
-        r = BitReader(w.getvalue(), w.bit_length)
+        r = BitReader(*pack_codewords(code, msg))
         for m in msg:
             assert code.decode(r)[0] == m
 
@@ -258,10 +238,7 @@ def test_codeword_arrays_match_encode(rng):
 
 def pack_codewords(code, chars) -> tuple[bytes, int]:
     """The codewords of `chars` back to back."""
-    w = BitWriter()
-    for c in chars:
-        w.write(*code.encode(c))
-    return w.getvalue(), w.bit_length
+    return pack_bits(*zip(*[code.encode(c) for c in chars]))
 
 
 def assert_decodes_like_per_bit(code, decode, data: bytes, nbits: int) -> None:
@@ -412,14 +389,10 @@ def test_stream_ending_inside_the_root_window():
     for c in range(1, code.sigma + 1):
         v, l = code.encode(c)
         if l < code.t:
-            w = BitWriter()
-            w.write(v, l)
-            r = BitReader(w.getvalue(), l)
+            r = BitReader(*pack_bits([v], [l]))
             assert code.decode(r) == (c, l) and r.remaining == 0
         for cut in range(min(l, code.t)):
-            w = BitWriter()
-            w.write(v >> (l - cut), cut)
-            r = BitReader(w.getvalue(), cut)
+            r = BitReader(*pack_bits([v >> (l - cut)], [cut]))
             with pytest.raises(TruncatedStream):
                 code.decode(r)
             assert r.tell() == 0
@@ -535,9 +508,7 @@ def test_descent_table_t1_stepwise(rng):
 def test_descent_table_single_chunk():
     code = RevCanonCode(FIVE)
     table = build_descent_table(code, 4)
-    w = BitWriter()
-    w.write(0b1110, 4)
-    assert code.decode_fast(table, BitReader(w.getvalue(), 4)) == (4, 4)
+    assert code.decode_fast(table, BitReader(*pack_bits([0b1110], [4]))) == (4, 4)
 
 
 def test_descent_table_equivalence_random(rng):
@@ -556,10 +527,8 @@ def test_descent_table_equivalence_random(rng):
 def test_descent_table_truncation():
     code = RevCanonCode(FIVE)
     table = build_descent_table(code, 4)
-    w = BitWriter()
-    w.write(0b111, 3)
     with pytest.raises(TruncatedStream):
-        code.decode_fast(table, BitReader(w.getvalue(), 3))
+        code.decode_fast(table, BitReader(*pack_bits([0b111], [3])))
 
 
 def test_descent_table_width_validation():

@@ -3,9 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import primary_table_loop
+from conftest import pack_bits_reference, primary_table_loop
 from ncpc.alphabetic import alphabetic_codewords, alphabetic_profile
-from ncpc.bits import BitReader, BitWriter
+from ncpc.bits import BitReader
 from ncpc.codewords import check_kraft, revcanon_codewords
 from ncpc.errors import InvalidStream, KraftViolation, TruncatedStream
 from ncpc.revcanon import RevCanonCode, huffman_lengths
@@ -23,10 +23,8 @@ def test_matches_per_symbol_encode(rng):
         n = (0, 1, 2047, 2048, 5000)[trial] if trial < 5 else int(rng.integers(0, 300))
         msg = rng.integers(1, sigma + 1, n).tolist()
         data, nbits = sc.encode(msg)
-        w = BitWriter()
-        for m in msg:
-            w.write(*code.encode(m))
-        assert (data, nbits) == (w.getvalue(), w.bit_length)
+        cws = [code.encode(m) for m in msg]
+        assert (data, nbits) == pack_bits_reference([v for v, _ in cws], [l for _, l in cws])
         r = BitReader(data, nbits)
         for m in msg:
             assert code.decode(r)[0] == m
@@ -83,6 +81,8 @@ def test_codewords_over_64_bits_are_refused():
     with pytest.raises(ValueError, match="64 bits"):
         revcanon_codewords(LONG)
     with pytest.raises(ValueError, match="64 bits"):
+        alphabetic_codewords(LONG)
+    with pytest.raises(ValueError, match="64 bits"):
         TableCode([(1, 0, 1), (2, 1 << 64, 65)])
     with pytest.raises(ValueError, match="64 bits"):
         SequenceCodec(np.zeros(len(LONG), dtype=np.uint64), np.array(LONG))
@@ -100,6 +100,8 @@ def test_lengths_over_64_bits_are_refused_before_the_kraft_sum():
         check_kraft([1, 10**5])
     with pytest.raises(ValueError, match="64 bits"):
         RevCanonCode([1, 10**5])
+    with pytest.raises(ValueError, match="64 bits"):
+        alphabetic_codewords([1, 10**5])  # before any 2^L codeword arithmetic
     assert time.perf_counter() - t0 < 0.5
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import bits_of
-from ncpc.bits import BitReader, BitWriter
+from ncpc.bits import BitReader, pack_bits
 from ncpc.errors import InvalidStream, TruncatedStream
 from ncpc.revcanon import RevCanonCode, huffman_lengths
 from ncpc.table_codec import TableCode
@@ -39,29 +39,21 @@ def test_encode():
 
 def test_decode_probes_lengths_ascending():
     tc = TableCode.from_code(RevCanonCode(FIVE))
-    w = BitWriter()
-    w.write(0b110, 3)
-    assert tc.decode(BitReader(w.getvalue(), 3)) == (3, 3)
-    w = BitWriter()
-    w.write(0b0, 1)
-    assert tc.decode(BitReader(w.getvalue(), 1)) == (1, 1)
+    assert tc.decode(BitReader(*pack_bits([0b110], [3]))) == (3, 3)
+    assert tc.decode(BitReader(*pack_bits([0b0], [1]))) == (1, 1)
 
 
 def test_decode_no_match_is_error():
     # sparse code: lengths 2 and 2 only cover prefixes 00,10; feed 11
     tc = TableCode([(1, 0b00, 2), (2, 0b01, 2)])
-    w = BitWriter()
-    w.write(0b11, 2)
     with pytest.raises(InvalidStream, match="invalid stream"):
-        tc.decode(BitReader(w.getvalue(), 2))
+        tc.decode(BitReader(*pack_bits([0b11], [2])))
 
 
 def test_decode_truncated():
     tc = TableCode.from_code(RevCanonCode(FIVE))
-    w = BitWriter()
-    w.write(0b111, 3)  # prefix of 1110/1111
     with pytest.raises(TruncatedStream):
-        tc.decode(BitReader(w.getvalue(), 3))
+        tc.decode(BitReader(*pack_bits([0b111], [3])))  # prefix of 1110/1111
 
 
 def test_differential_vs_rank_codec(rng):
@@ -72,12 +64,9 @@ def test_differential_vs_rank_codec(rng):
         for i in range(1, sigma + 1):
             assert tc.encode(i) == code.encode(i)
         msg = rng.integers(1, sigma + 1, 150).tolist()
-        w = BitWriter()
-        for m in msg:
-            v, l = code.encode(m)
-            w.write(v, l)
-        r1 = BitReader(w.getvalue(), w.bit_length)
-        r2 = BitReader(w.getvalue(), w.bit_length)
+        data, nbits = pack_bits(*zip(*[code.encode(m) for m in msg]))
+        r1 = BitReader(data, nbits)
+        r2 = BitReader(data, nbits)
         for _ in msg:
             assert tc.decode(r1) == code.decode(r2)
 
