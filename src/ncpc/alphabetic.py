@@ -10,10 +10,11 @@ of the cutoff runs:
 
   B  marker bitvector over the alphabet (1 = shallow leaf or leftmost
      leaf of a subtree rooted at the cutoff depth),
-  S  (value, length) codewords of the marked positions, indexed by rank1(B),
+  P  the cutoff-bit prefix of each marked character's item, by rank1(B),
   A  dispatch table indexed by the first `cutoff` bits of the stream: the
      (character, length) of a shallow leaf, or the int leftmost character
-     of a balanced subtree.
+     of a balanced subtree. A run sits at one prefix p, so A[p + 1] starts
+     with the character after it.
 """
 
 from __future__ import annotations
@@ -297,20 +298,19 @@ def balance_at_cutoff(profile: DepthProfile, cutoff: int) -> DepthProfile:
 # -- compiled representation ----------------------------------------------
 
 class CompactAlphabeticCode:
-    """Alphabetic code compiled to the B/S/A form, built from a
+    """Alphabetic code compiled to the B/P/A form, built from a
     cutoff-balanced profile.
 
     B marks each shallow leaf and the leftmost leaf of each subtree rooted
-    at the cutoff depth. S lists the marked characters' codewords as
-    (value, length), in alphabet order. A has one entry per cutoff-bit
-    prefix: the (character, length) of the shallow leaf the prefix starts,
-    or the int leftmost character of the balanced subtree rooted there.
-    sigma = 1 is the one-leaf tree: B = "1", S = [(0, 0)], A = [(1, 0)].
+    at the cutoff depth. P lists, in alphabet order, the first cutoff bits
+    of the marked characters' codewords, zero-padded. A has one entry per
+    cutoff-bit prefix: the (character, length) of the shallow leaf the
+    prefix starts, or the int leftmost character of the balanced subtree
+    rooted there. sigma = 1 is the one-leaf tree: B = "1", P = [0], A = [(1, 0)].
 
-    encode and decode perform a constant number of rank/select calls plus
-    arithmetic on the completely balanced subtrees; no code table of size
-    sigma is stored beyond the marker structures. encode reads B and S,
-    decode only B and A.
+    encode is one B.rank1, one P read and one or two A reads; decode is one
+    or two A reads. A run's end is the next A entry, so neither selects on
+    B; the rest is arithmetic on the completely balanced subtrees.
     """
 
     def __init__(self, profile: DepthProfile):
@@ -321,21 +321,21 @@ class CompactAlphabeticCode:
         depths = profile.depths
         cws = profile.codewords()
         bbits = np.zeros(sigma, dtype=np.uint8)
-        S: list[tuple[int, int]] = []
+        P: list[int] = []
         A: list = [None] * (1 << cutoff)
         covered = 0
         for i, j in _cutoff_runs(profile, cutoff):
             v, d = cws[i]
             bbits[i] = 1
-            S.append(cws[i])
+            P.append(v << (cutoff - d) if d <= cutoff else v >> (d - cutoff))
             if d <= cutoff:
                 span = 1 << (cutoff - d)
-                A[v * span:(v + 1) * span] = [(i + 1, d)] * span
+                A[P[-1]:P[-1] + span] = [(i + 1, d)] * span
                 covered += span
                 continue
             if [depths[k] - cutoff for k in range(i, j)] != balanced_run_depths(j - i):
                 raise KraftViolation("subtree below the cutoff is not completely balanced")
-            A[v >> (d - cutoff)] = i + 1  # leftmost leaf position i' (1-based)
+            A[P[-1]] = i + 1  # leftmost leaf position i' (1-based)
             covered += 1
         if covered != 1 << cutoff:
             raise KraftViolation("dispatch table not fully populated")
@@ -344,37 +344,36 @@ class CompactAlphabeticCode:
         self.height_cap = cap
         self.depths = depths
         self.B = Bitvector(bbits)
-        self.S = S
+        self.P = P
         self.A = A
         self._arrays = None
 
     def encode(self, i: int) -> tuple[int, int]:
         if not 1 <= i <= self.sigma:
             raise IndexError(f"character out of range: {i}")
-        B = self.B
-        j = B.rank1(i)
-        if B.access(i):
-            return self.S[j - 1]
-        ip = B.select1(j)
-        ipp = B.select1(j + 1) if j < B.ones else self.sigma + 1
-        r = ipp - ip
+        A = self.A
+        p = self.P[self.B.rank1(i) - 1]
+        e = A[p]
+        if type(e) is tuple:  # a shallow leaf, so e[0] == i
+            return (p >> (self.cutoff - e[1]), e[1])
+        nxt = A[p + 1] if p + 1 < len(A) else self.sigma + 1  # starts the next item
+        r = (nxt if type(nxt) is int else nxt[0]) - e
         h = (r - 1).bit_length()
-        off = i - ip
-        deep = 2 * r - (1 << h)
-        base = self.S[j - 1][0]
-        if off < deep:
+        off = i - e
+        base = p << h  # the run's first codeword, cutoff + h bits long
+        if off < 2 * r - (1 << h):
             return (base + off, self.cutoff + h)
         return (base // 2 + off - (r - (1 << (h - 1))), self.cutoff + h - 1)
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         cap = self.height_cap
         w = reader.peek(cap)    # every codeword fits in height_cap bits
-        e = self.A[w >> (cap - self.cutoff)]
+        A = self.A
+        p = w >> (cap - self.cutoff)
+        e = A[p]
         if type(e) is not tuple:
-            B = self.B
-            rk = B.rank1(e)
-            ipp = B.select1(rk + 1) if rk < B.ones else self.sigma + 1
-            r = ipp - e
+            nxt = A[p + 1] if p + 1 < len(A) else self.sigma + 1
+            r = (nxt if type(nxt) is int else nxt[0]) - e
             h = (r - 1).bit_length()
             l = self.cutoff + h
             d = (w >> (cap - l)) & ((1 << h) - 1)  # the offset after the run's prefix
@@ -397,16 +396,16 @@ class CompactAlphabeticCode:
     def size_breakdown(self) -> dict[str, int]:
         """Accounted bits per component.
 
-        B: the marker bitvector's data and rank directory. S: one value of
-        at most height_cap bits and its length per entry. A: one character
-        or subtree root, a length and a kind bit per dispatch prefix.
-        sigma = 1 is accounted as one byte.
+        B: the marker bitvector's data and rank directory. P: one cutoff-bit
+        prefix per marked character. A: one character or subtree root, a
+        length and a kind bit per dispatch prefix. sigma = 1 is accounted as
+        one byte.
         """
         if self.sigma == 1:
-            return {"B": 8, "S": 0, "A": 0}
+            return {"B": 8, "P": 0, "A": 0}
         hbits = max(1, self.height_cap.bit_length())
         return {"B": self.B.size_bits(),
-                "S": len(self.S) * (self.height_cap + hbits),
+                "P": len(self.P) * self.cutoff,
                 "A": len(self.A) * (self.sigma.bit_length() + hbits + 1)}
 
     def model_size_bits(self) -> int:
@@ -414,7 +413,7 @@ class CompactAlphabeticCode:
 
 
 def compile_code(profile: DepthProfile, sigma: int) -> CompactAlphabeticCode:
-    """Compile a cutoff-balanced profile into the B/S/A representation."""
+    """Compile a cutoff-balanced profile into the B/P/A representation."""
     if sigma != profile.sigma:
         raise ValueError("sigma does not match the profile")
     return CompactAlphabeticCode(profile)

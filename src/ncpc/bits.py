@@ -8,6 +8,8 @@ real bit.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import Underflow
@@ -16,19 +18,31 @@ from .errors import Underflow
 _CHUNK = 1 << 16  # values unpacked at a time, one byte per bit: 4 MiB
 
 
+def _integers(x):
+    """x as an array; unless numpy already holds it as integers, each element
+    passes operator.index, which raises TypeError on floats and strings."""
+    a = np.asarray(x)
+    if a.dtype.kind in "iub":
+        return a
+    # [1 << 63, 1] is float64 to numpy, so the elements are checked, not the dtype
+    return np.array([operator.index(v) for v in np.asarray(x, dtype=object).flat],
+                    dtype=object).reshape(a.shape)
+
+
 def pack_bits(values, widths) -> tuple[bytes, int]:
     """Pack the low widths[k] bits of each values[k], MSB-first and in order.
 
     widths may be one width for every value. Returns (bytes zero-padded to
-    a byte boundary, exact bit count). Raises ValueError for a width outside
-    0..64 or a value that is negative or wider than its width.
+    a byte boundary, exact bit count). Raises TypeError for a value or width
+    that is not an integer, and ValueError for a width outside 0..64 or a
+    value that is negative or wider than its width.
     """
-    src = np.asarray(values)
+    src = _integers(values)
     if src.dtype.kind == "i" and src.size and src.min() < 0:
         raise ValueError("negative value")
     try:  # a Python int below 0 or wider than 64 bits overflows here
-        vals = np.asarray(values, dtype=np.uint64)
-        wids = np.broadcast_to(np.asarray(widths, dtype=np.int64), vals.shape)
+        vals = np.asarray(src, dtype=np.uint64)
+        wids = np.broadcast_to(np.asarray(_integers(widths), dtype=np.int64), vals.shape)
     except OverflowError as e:
         raise ValueError(str(e)) from None
     if wids.size and (wids.min() < 0 or wids.max() > 64):

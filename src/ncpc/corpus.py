@@ -184,6 +184,8 @@ def container_write(depths, family: int, payload: bytes, n: int) -> bytes:
         raise ValueError("empty model")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n >> 64:
+        raise ValueError("n exceeds 64 bits")
     family_codewords(family, depths)  # validates the depths for the family
     return _container_bytes(depths, family, payload, n)
 

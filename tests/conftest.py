@@ -2,7 +2,7 @@
 
 Everything here is deliberately independent of the library's fast paths:
 linear scans, exhaustive tree enumeration, a greedy explicit-tree codec,
-the alphabetic B/S/A tables read off the codeword strings,
+the alphabetic B/P/A tables read off the codeword strings,
 a two-queue Huffman cost, an interval DP for optimal ordered trees, the
 earlier list-rescanning Garsia-Wachs and heap Huffman builders, the
 per-character fill of the bulk codec's decode tables, the per-bit
@@ -111,14 +111,15 @@ class TreeCodec:
         return node["sym"], pos
 
 
-# -- alphabetic B/S/A tables by brute force ----------------------------------
+# -- alphabetic B/P/A tables by brute force ----------------------------------
 
 def alphabetic_tables_brute(depths, cutoff):
-    """(B as a 0/1 list, S, A) of the compiled alphabetic code, from the
+    """(B as a 0/1 list, P, A) of the compiled alphabetic code, from the
     codewords as bit strings: A[p] is the (character, length) of the leaf
     whose codeword is a prefix of the cutoff-bit string p, else the first
     character whose codeword starts with p; B marks every character A
-    names, and S lists their codewords in alphabet order."""
+    names, and P lists the first cutoff bits of their codewords, zero-padded,
+    in alphabet order."""
     from ncpc.alphabetic import canonical_codewords
     cws = canonical_codewords(depths)
     words = [bits_of(v, d) for v, d in cws]
@@ -135,8 +136,8 @@ def alphabetic_tables_brute(depths, cutoff):
         A.append(leaf[0] if leaf else first_below[ps])
     marked = {e[0] if isinstance(e, tuple) else e for e in A}
     B = [int(i in marked) for i in range(1, len(words) + 1)]
-    S = [cws[i - 1] for i in sorted(marked)]
-    return B, S, A
+    P = [int((words[i - 1] + "0" * cutoff)[:cutoff] or "0", 2) for i in sorted(marked)]
+    return B, P, A
 
 
 # -- reverse-lex explicit construction for the rank-arithmetic code ----------

@@ -17,6 +17,7 @@ from ncpc.alphabetic import (DepthProfile, alphabetic_profile, balance_at_cutoff
 from ncpc.corpus import gen_zipf
 from ncpc.bits import BitReader, pack_bits
 from ncpc.errors import KraftViolation, TruncatedStream
+from ncpc.succinct import Bitvector
 
 
 def cost(freqs, depths):
@@ -159,21 +160,21 @@ def test_balance_preserves_shallow_and_caps_height(rng):
 def test_compile_sigma4_B_S_A():
     code = compile_code(DepthProfile((2, 2, 2, 2)), 4)
     assert [code.B.access(i) for i in range(1, 5)] == [1, 0, 1, 0]
-    assert code.S == [(0b00, 2), (0b10, 2)]
+    assert code.P == [0b0, 0b1]  # cutoff 1: the first bit of 00 and of 10
     assert code.A == [1, 3]
 
 
 def test_compile_sigma1_degenerate():
     code = compile_code(DepthProfile((0,)), 1)
     assert code.B.access(1) == 1 and code.B.n_bits == 1
-    assert code.S == [(0, 0)]
+    assert code.P == [0]
     assert code.A == [(1, 0)]
-    assert alphabetic_tables_brute(code.depths, code.cutoff) == ([1], code.S, code.A)
+    assert alphabetic_tables_brute(code.depths, code.cutoff) == ([1], code.P, code.A)
     assert code.encode(1) == (0, 0)
     r = BitReader(b"", 0)
     assert code.decode(r) == (1, 0)
     assert r.tell() == 0
-    assert code.size_breakdown() == {"B": 8, "S": 0, "A": 0}
+    assert code.size_breakdown() == {"B": 8, "P": 0, "A": 0}
 
 
 def test_B_S_A_match_brute_force_oracle(rng):
@@ -181,9 +182,9 @@ def test_B_S_A_match_brute_force_oracle(rng):
     codes = [build_alphabetic_code(rng.integers(1, 1000, s).tolist()) for s in sigmas]
     codes.append(build_alphabetic_code(gen_zipf(200_000, 4096, 1.0, 1).smoothed_freqs()))
     for code in codes:
-        B, S, A = alphabetic_tables_brute(code.depths, code.cutoff)
+        B, P, A = alphabetic_tables_brute(code.depths, code.cutoff)
         assert [code.B.access(i) for i in range(1, code.sigma + 1)] == B
-        assert code.S == S
+        assert code.P == P
         assert code.A == A
 
 
@@ -226,6 +227,27 @@ def test_subtree_arithmetic_example():
     r = BitReader(*pack_bits([0b1011], [4]))
     assert code.decode(r) == (5, 3)
     assert r.remaining == 1
+
+
+def test_queries_never_select_on_B(monkeypatch, rng):
+    """A run ends where the next A entry starts, so encode and decode make
+    no select call on B, at any sigma and on a code as tall as its cap."""
+    def refuse(*_):
+        raise AssertionError("select on B")
+    monkeypatch.setattr(Bitvector, "select1", refuse)
+    monkeypatch.setattr(Bitvector, "select0", refuse)
+    weights = [rng.integers(1, 1000, s).tolist() for s in (1, 2, 7, 600)]
+    weights.append(gen_zipf(200_000, 4096, 1.0, 1).smoothed_freqs())
+    weights.append([1 << (40 - k) for k in range(40)])  # geometric
+    for w in weights:
+        code = build_alphabetic_code(w)
+        vals, lens = code.codeword_arrays()
+        want = list(zip(vals.tolist(), lens.tolist()))
+        assert [code.encode(i) for i in range(1, code.sigma + 1)] == want
+        r = BitReader(*pack_bits(vals, lens))
+        assert [code.decode(r) for _ in want] == [(i, l) for i, (_, l) in enumerate(want, 1)]
+    # the last, geometric code is as tall as its cap and has runs below the cutoff
+    assert max(code.depths) == code.height_cap and code.B.ones < code.sigma
 
 
 def test_codec_agrees_with_explicit_tree_reference(rng):

@@ -53,6 +53,17 @@ def test_value_must_fit_width():
         pack_bits([1, 2], [1, 2, 3])
 
 
+def test_non_integers_are_refused():
+    with pytest.raises(TypeError):
+        pack_bits([1.5], [1])
+    with pytest.raises(TypeError):
+        pack_bits(["1"], [1])
+    with pytest.raises(TypeError):
+        pack_bits([1], [2.7])
+    # numpy holds these as float64, yet both are integers that fit
+    assert pack_bits([1 << 63, 1], [64, 1]) == (b"\x80" + bytes(7) + b"\x80", 65)
+
+
 def test_skip_and_tell():
     r = BitReader(*pack_bits([0b110101], [6]))
     r.skip(2)

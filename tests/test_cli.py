@@ -142,7 +142,7 @@ def test_decode_bytes_refuses_a_wide_alphabet_before_decoding(tmp_path, monkeypa
 
 def test_decode_alphabetic_depths_not_cutoff_balanced(tmp_path):
     # [1, 2, 3, 3] is order-realizable but not balanced below the cutoff:
-    # decode needs only the codeword arrays, not the compiled B/S/A model
+    # decode needs only the codeword arrays, not the compiled B/P/A model
     from ncpc.alphabetic import alphabetic_codewords
     from ncpc.corpus import FAMILY_ALPHA, container_write
     syms = [1, 2, 3, 4, 4, 1]

@@ -179,6 +179,13 @@ def test_container_sigma1_empty_codeword():
     assert out.tolist() == [1] * 5
 
 
+def test_container_refuses_n_over_64_bits():
+    with pytest.raises(ValueError, match="64 bits"):
+        container_write([1, 1], FAMILY_WMM, b"", 1 << 64)
+    blob = container_write([1, 1], FAMILY_WMM, b"", (1 << 64) - 1)
+    assert blob[10:18] == b"\xff" * 8
+
+
 def test_container_zero_width_depths_need_sigma_one():
     # L = 0 gives zero-width depth fields, so sigma alone must not size the depth list
     blob = bytearray(container_write([0], FAMILY_WMM, b"", 0))
