@@ -12,9 +12,12 @@ of the cutoff runs:
      leaf of a subtree rooted at the cutoff depth),
   P  the cutoff-bit prefix of each marked character's item, by rank1(B),
   A  dispatch table indexed by the first `cutoff` bits of the stream: the
-     (character, length) of a shallow leaf, or the int leftmost character
-     of a balanced subtree. A run sits at one prefix p, so A[p + 1] starts
-     with the character after it.
+     (character, length) of a shallow leaf, or, for a balanced subtree of
+     r leaves and height h = ceil(lg r), the run entry (leftmost character,
+     2r - 2^h, h, r - 2^(h-1)). The build derives these fields once; each
+     is an O(1) function of the run's start and the next entry's, since a
+     run sits at one prefix p and A[p + 1] starts with the character after
+     it, so they add no accounted bits.
 """
 
 from __future__ import annotations
@@ -305,12 +308,16 @@ class CompactAlphabeticCode:
     at the cutoff depth. P lists, in alphabet order, the first cutoff bits
     of the marked characters' codewords, zero-padded. A has one entry per
     cutoff-bit prefix: the (character, length) of the shallow leaf the
-    prefix starts, or the int leftmost character of the balanced subtree
-    rooted there. sigma = 1 is the one-leaf tree: B = "1", P = [0], A = [(1, 0)].
+    prefix starts, or the run entry (c, deep, h, shift) of the balanced
+    subtree rooted there: its leftmost character c, its 2r - 2^h leaves of
+    depth cutoff + h, its height h = ceil(lg r) >= 1, and r - 2^(h-1), by
+    which the offset from c of each leaf of depth cutoff + h - 1 exceeds
+    that leaf's last h - 1 codeword bits. The build derives these from r,
+    where the next A entry starts, so the queries never look past A[p].
+    sigma = 1 is the one-leaf tree: B = "1", P = [0], A = [(1, 0)].
 
-    encode is one B.rank1, one P read and one or two A reads; decode is one
-    or two A reads. A run's end is the next A entry, so neither selects on
-    B; the rest is arithmetic on the completely balanced subtrees.
+    encode is one B.rank1, one P read and one A read; decode is one A read.
+    Neither selects on B; the rest is arithmetic on the run entry.
     """
 
     def __init__(self, profile: DepthProfile):
@@ -335,7 +342,9 @@ class CompactAlphabeticCode:
                 continue
             if [depths[k] - cutoff for k in range(i, j)] != balanced_run_depths(j - i):
                 raise KraftViolation("subtree below the cutoff is not completely balanced")
-            A[P[-1]] = i + 1  # leftmost leaf position i' (1-based)
+            r = j - i
+            h = (r - 1).bit_length()
+            A[P[-1]] = (i + 1, 2 * r - (1 << h), h, r - (1 << (h - 1)))
             covered += 1
         if covered != 1 << cutoff:
             raise KraftViolation("dispatch table not fully populated")
@@ -351,36 +360,25 @@ class CompactAlphabeticCode:
     def encode(self, i: int) -> tuple[int, int]:
         if not 1 <= i <= self.sigma:
             raise IndexError(f"character out of range: {i}")
-        A = self.A
         p = self.P[self.B.rank1(i) - 1]
-        e = A[p]
-        if type(e) is tuple:  # a shallow leaf, so e[0] == i
+        e = self.A[p]
+        if len(e) == 2:  # a shallow leaf, so e[0] == i
             return (p >> (self.cutoff - e[1]), e[1])
-        nxt = A[p + 1] if p + 1 < len(A) else self.sigma + 1  # starts the next item
-        r = (nxt if type(nxt) is int else nxt[0]) - e
-        h = (r - 1).bit_length()
-        off = i - e
-        base = p << h  # the run's first codeword, cutoff + h bits long
-        if off < 2 * r - (1 << h):
-            return (base + off, self.cutoff + h)
-        return (base // 2 + off - (r - (1 << (h - 1))), self.cutoff + h - 1)
+        c, deep, h, shift = e
+        off = i - c
+        if off < deep:  # the run's first codeword is p << h, cutoff + h bits long
+            return ((p << h) + off, self.cutoff + h)
+        return ((p << (h - 1)) + off - shift, self.cutoff + h - 1)
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         cap = self.height_cap
         w = reader.peek(cap)    # every codeword fits in height_cap bits
-        A = self.A
-        p = w >> (cap - self.cutoff)
-        e = A[p]
-        if type(e) is not tuple:
-            nxt = A[p + 1] if p + 1 < len(A) else self.sigma + 1
-            r = (nxt if type(nxt) is int else nxt[0]) - e
-            h = (r - 1).bit_length()
+        e = self.A[w >> (cap - self.cutoff)]
+        if len(e) != 2:
+            c, deep, h, shift = e
             l = self.cutoff + h
             d = (w >> (cap - l)) & ((1 << h) - 1)  # the offset after the run's prefix
-            if d < 2 * r - (1 << h):
-                e = (e + d, l)
-            else:
-                e = (e + r - (1 << (h - 1)) + d // 2, l - 1)
+            e = (c + d, l) if d < deep else (c + shift + (d >> 1), l - 1)
         try:
             reader.skip(e[1])
         except Underflow:
@@ -398,8 +396,10 @@ class CompactAlphabeticCode:
 
         B: the marker bitvector's data and rank directory. P: one cutoff-bit
         prefix per marked character. A: one character or subtree root, a
-        length and a kind bit per dispatch prefix. sigma = 1 is accounted as
-        one byte.
+        length and a kind bit per dispatch prefix; a run entry's other
+        fields follow from its root and the next entry's, as Bitvector's
+        held per-byte counts follow from its data. sigma = 1 is accounted
+        as one byte.
         """
         if self.sigma == 1:
             return {"B": 8, "P": 0, "A": 0}

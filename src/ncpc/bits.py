@@ -1,9 +1,12 @@
 """MSB-first bit streams.
 
 pack_bits packs arrays of values most-significant-bit first into bytes;
-BitReader consumes them in the same order. peek() zero-pads past
-the end of the stream, read()/skip() never move the cursor past the last
-real bit.
+BitReader consumes them in the same order. peek() zero-pads past the
+stream's last bit, read()/skip() never move the cursor past it, and a
+width out of range is a ValueError before any check of the stream.
+BitReader serves peeks from a 128-bit window it refills only when a peek
+runs past it; the window belongs to the reader, not to the models that
+decode through it, so those stay immutable.
 """
 
 from __future__ import annotations
@@ -65,19 +68,34 @@ def pack_bits(values, widths) -> tuple[bytes, int]:
 
 
 class BitReader:
-    """Sequential MSB-first reader over a byte buffer."""
+    """Sequential MSB-first reader over the first nbits bits of a byte buffer.
 
-    __slots__ = ("_data", "_nbits", "_pos")
+    The reader holds a window: the int of the 16 bytes starting at the
+    byte that held the cursor at the last refill, and the bit position
+    where those 128 bits end. peek() refills only when the bits it asks
+    for pass that end; after a refill the cursor sits in the window's
+    first byte, so any peek of up to 64 bits fits. A peek is then one
+    compare, one shift and one mask. The window is this reader's own
+    state, so the models that decode through it hold none.
+    """
+
+    __slots__ = ("_data", "_nbits", "_pos", "_win", "_end")
 
     def __init__(self, data: bytes, nbits: int | None = None) -> None:
         if nbits is None:
             nbits = 8 * len(data)
         if nbits < 0 or nbits > 8 * len(data):
             raise ValueError("nbits exceeds the buffer")
-        # 9 bytes of slack so a 64-bit peek at any offset never slices short
-        self._data = bytes(data) + b"\x00" * 9
+        # the stream's bytes with the bits past nbits cleared, then 16 bytes
+        # of slack so a window at any cursor never slices short
+        buf = bytearray(data[:(nbits + 7) >> 3])
+        if nbits & 7:
+            buf[-1] &= 0xFF00 >> (nbits & 7) & 0xFF
+        self._data = bytes(buf) + bytes(16)
         self._nbits = nbits
         self._pos = 0
+        self._win = int.from_bytes(self._data[:16], "big")
+        self._end = 128
 
     @property
     def remaining(self) -> int:
@@ -90,25 +108,30 @@ class BitReader:
         """Next `width` bits as an integer, zero-padded past the end."""
         if width < 0 or width > 64:
             raise ValueError(f"width out of range: {width}")
-        if width == 0:
-            return 0
-        start = self._pos >> 3
-        off = self._pos & 7
-        chunk = int.from_bytes(self._data[start:start + 9], "big")
-        return (chunk >> (72 - off - width)) & ((1 << width) - 1)
+        pos = self._pos
+        end = self._end
+        if pos + width > end:
+            start = pos >> 3
+            self._win = int.from_bytes(self._data[start:start + 16], "big")
+            self._end = end = (start << 3) + 128
+        return (self._win >> (end - pos - width)) & ((1 << width) - 1)
 
     def read(self, width: int) -> int:
-        if width > self._nbits - self._pos:
-            raise Underflow("underflow")
-        if width == 1:
-            pos = self._pos
+        pos = self._pos
+        if width == 1 and pos < self._nbits:  # one bit, straight from its byte
             self._pos = pos + 1
             return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
+        if width < 0 or width > 64:
+            raise ValueError(f"width out of range: {width}")
+        if width > self._nbits - pos:
+            raise Underflow("underflow")
         v = self.peek(width)
-        self._pos += width
+        self._pos = pos + width
         return v
 
     def skip(self, width: int) -> None:
-        if width < 0 or width > self._nbits - self._pos:
+        if width < 0:
+            raise ValueError(f"width out of range: {width}")
+        if width > self._nbits - self._pos:
             raise Underflow("underflow")
         self._pos += width

@@ -6,8 +6,9 @@ the alphabetic B/P/A tables read off the codeword strings,
 a two-queue Huffman cost, an interval DP for optimal ordered trees, the
 earlier list-rescanning Garsia-Wachs and heap Huffman builders, the
 per-character fill of the bulk codec's decode tables, the per-bit
-reverse-canonical decode that the root table replaced, and bit packing
-by Python-int concatenation. Tests compare library output against these.
+reverse-canonical decode that the root table replaced, bit packing
+by Python-int concatenation, and a bit reader over the whole stream held
+as one int. Tests compare library output against these.
 """
 
 from __future__ import annotations
@@ -116,25 +117,33 @@ class TreeCodec:
 def alphabetic_tables_brute(depths, cutoff):
     """(B as a 0/1 list, P, A) of the compiled alphabetic code, from the
     codewords as bit strings: A[p] is the (character, length) of the leaf
-    whose codeword is a prefix of the cutoff-bit string p, else the first
-    character whose codeword starts with p; B marks every character A
-    names, and P lists the first cutoff bits of their codewords, zero-padded,
-    in alphabet order."""
+    whose codeword is a prefix of the cutoff-bit string p, else the run
+    entry of the characters whose codewords start with p: (the first of
+    them, how many have the run's longest length, that length minus cutoff
+    as h, their count minus 2^(h-1)). B marks every character A names, and
+    P lists the first cutoff bits of their codewords, zero-padded, in
+    alphabet order."""
     from ncpc.alphabetic import canonical_codewords
     cws = canonical_codewords(depths)
     words = [bits_of(v, d) for v, d in cws]
     shallow = [(i, w) for i, w in enumerate(words, 1) if len(w) <= cutoff]
-    first_below: dict[str, int] = {}
+    below: dict[str, list[int]] = {}
     for i, w in enumerate(words, 1):
         if len(w) > cutoff:
-            first_below.setdefault(w[:cutoff], i)
+            below.setdefault(w[:cutoff], []).append(i)
     A = []
     for p in range(1 << cutoff):
         ps = bits_of(p, cutoff)
         leaf = [(i, len(w)) for i, w in shallow if ps.startswith(w)]
-        assert len(leaf) + (ps in first_below) == 1, ps
-        A.append(leaf[0] if leaf else first_below[ps])
-    marked = {e[0] if isinstance(e, tuple) else e for e in A}
+        assert len(leaf) + (ps in below) == 1, ps
+        if leaf:
+            A.append(leaf[0])
+            continue
+        run = below[ps]
+        lens = [len(words[i - 1]) for i in run]
+        h = max(lens) - cutoff
+        A.append((run[0], lens.count(cutoff + h), h, len(run) - (1 << (h - 1))))
+    marked = {e[0] for e in A}
     B = [int(i in marked) for i in range(1, len(words) + 1)]
     P = [int((words[i - 1] + "0" * cutoff)[:cutoff] or "0", 2) for i in sorted(marked)]
     return B, P, A
@@ -457,6 +466,45 @@ def pack_bits_reference(values, widths) -> tuple[bytes, int]:
         nbits += w
     pad = -nbits % 8
     return (acc << pad).to_bytes((nbits + pad) // 8, "big"), nbits
+
+
+class ReferenceBitReader:
+    """BitReader's contract over the stream's first nbits bits held as one
+    Python int: peek zero-pads past nbits, read and skip never pass it, a
+    width outside 0..64 (below 0 for skip) is a ValueError whatever the
+    cursor, and a read or skip past the end raises Underflow."""
+
+    def __init__(self, data: bytes, nbits: int) -> None:
+        self.nbits = nbits
+        self.value = int.from_bytes(data, "big") >> (8 * len(data) - nbits)
+        self.pos = 0
+
+    def tell(self) -> int:
+        return self.pos
+
+    def peek(self, width: int) -> int:
+        if not 0 <= width <= 64:
+            raise ValueError(width)
+        padded = self.value << 64  # 64 zero bits past the end
+        return (padded >> (self.nbits + 64 - self.pos - width)) & ((1 << width) - 1)
+
+    def read(self, width: int) -> int:
+        from ncpc.errors import Underflow
+        if not 0 <= width <= 64:
+            raise ValueError(width)
+        if self.pos + width > self.nbits:
+            raise Underflow("underflow")
+        v = self.peek(width)
+        self.pos += width
+        return v
+
+    def skip(self, width: int) -> None:
+        from ncpc.errors import Underflow
+        if width < 0:
+            raise ValueError(width)
+        if self.pos + width > self.nbits:
+            raise Underflow("underflow")
+        self.pos += width
 
 
 # -- misc ---------------------------------------------------------------------

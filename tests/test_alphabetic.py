@@ -161,7 +161,7 @@ def test_compile_sigma4_B_S_A():
     code = compile_code(DepthProfile((2, 2, 2, 2)), 4)
     assert [code.B.access(i) for i in range(1, 5)] == [1, 0, 1, 0]
     assert code.P == [0b0, 0b1]  # cutoff 1: the first bit of 00 and of 10
-    assert code.A == [1, 3]
+    assert code.A == [(1, 2, 1, 1), (3, 2, 1, 1)]  # two runs of r = 2, h = 1
 
 
 def test_compile_sigma1_degenerate():
@@ -227,6 +227,36 @@ def test_subtree_arithmetic_example():
     r = BitReader(*pack_bits([0b1011], [4]))
     assert code.decode(r) == (5, 3)
     assert r.remaining == 1
+
+
+def test_run_entries_are_derived_from_the_next_prefix(rng):
+    """Each run entry (c, 2r - 2^h, h, r - 2^(h-1)) equals the fields that
+    r, the distance to where the next prefix starts (sigma + 1 past the
+    last one), gives; and every character round-trips through encode and
+    decode as codeword_arrays() has it."""
+    codes = [compile_code(DepthProfile((2, 2, 2, 2)), 4),          # last prefix a run, h = 1
+             compile_code(DepthProfile((2, 2, 4, 4, 3, 3, 3)), 7),  # h = 2, then h = 1 last
+             build_alphabetic_code([1 << (40 - k) for k in range(40)])]
+    codes += [build_alphabetic_code(rng.integers(1, 1000, s).tolist()) for s in (3, 17, 600)]
+    codes.append(build_alphabetic_code(gen_zipf(200_000, 4096, 1.0, 1).smoothed_freqs()))
+    heights, last_is_run = set(), 0
+    for code in codes:
+        A = code.A
+        for p, e in enumerate(A):
+            if len(e) == 2:
+                continue
+            nxt = A[p + 1][0] if p + 1 < len(A) else code.sigma + 1
+            r = nxt - e[0]
+            h = (r - 1).bit_length()
+            assert e == (e[0], 2 * r - (1 << h), h, r - (1 << (h - 1))), (code.sigma, p)
+            heights.add(h)
+        last_is_run += len(A[-1]) == 4
+        vals, lens = code.codeword_arrays()
+        want = list(zip(vals.tolist(), lens.tolist()))
+        assert [code.encode(i) for i in range(1, code.sigma + 1)] == want
+        r = BitReader(*pack_bits(vals, lens))
+        assert [code.decode(r) for _ in want] == [(i, l) for i, (_, l) in enumerate(want, 1)]
+    assert 1 in heights and max(heights) > 1 and last_is_run >= 2
 
 
 def test_queries_never_select_on_B(monkeypatch, rng):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pack_bits_reference
+from conftest import ReferenceBitReader, pack_bits_reference
 from ncpc.bits import _CHUNK, BitReader, pack_bits
 from ncpc.errors import Underflow
 
@@ -113,3 +113,77 @@ def test_roundtrip_random_widths(widths, rnd):
     for v, width in zip(vals, widths):
         assert r.read(width) == v
     assert r.remaining == 0
+
+
+def test_bad_widths_raise_value_error_whatever_the_cursor():
+    for nbits in (0, 3, 64, 200):
+        r = BitReader(bytes(25), nbits)
+        for width in (-1, 65):
+            for op in (r.peek, r.read):
+                with pytest.raises(ValueError):
+                    op(width)
+        with pytest.raises(ValueError):
+            r.skip(-1)
+        assert r.tell() == 0
+    r = BitReader(bytes(25))
+    r.skip(150)  # 50 bits left: read(65) was an Underflow here, not a ValueError
+    with pytest.raises(ValueError):
+        r.read(65)
+    with pytest.raises(Underflow):
+        r.read(64)
+    assert r.tell() == 150
+
+
+def test_peek_is_zero_past_nbits_though_the_buffer_goes_on():
+    r = BitReader(b"\xff\xff", 4)
+    assert r.peek(8) == 0xF0
+    assert r.peek(64) == 0xF << 60
+    r.skip(4)
+    assert r.peek(64) == 0
+
+
+def check_against_reference(data, nbits, ops):
+    """Run (op, width) pairs on a BitReader and the reference reader: the same
+    value or exception type each time, and the same cursor after."""
+    r, ref = BitReader(data, nbits), ReferenceBitReader(data, nbits)
+    for op, width in ops:
+        got = want = None
+        try:
+            want = getattr(ref, op)(width)
+        except (ValueError, Underflow) as e:
+            want = type(e)
+        try:
+            got = getattr(r, op)(width)
+        except (ValueError, Underflow) as e:
+            got = type(e)
+        assert got == want, (op, width, ref.tell())
+        assert r.tell() == ref.tell()
+        assert r.remaining == nbits - ref.tell()
+
+
+@st.composite
+def streams_and_ops(draw):
+    data = draw(st.binary(min_size=0, max_size=80))
+    nbits = draw(st.integers(0, 8 * len(data)))
+    op = st.one_of(st.tuples(st.sampled_from(["peek", "read"]), st.integers(-1, 65)),
+                   st.tuples(st.just("skip"), st.integers(-1, 200)))
+    return data, nbits, draw(st.lists(op, max_size=60))
+
+
+@settings(max_examples=400, deadline=None)
+@given(streams_and_ops())
+def test_reader_matches_the_whole_stream_int(case):
+    check_against_reference(*case)
+
+
+def test_every_refill_boundary_against_the_reference():
+    data = bytes((37 * k + 11) % 256 for k in range(48))
+    nbits = 8 * len(data)
+    for k in range(257):
+        check_against_reference(data, nbits, [("skip", k), ("peek", 64), ("peek", 1),
+                                              ("read", 64), ("peek", 64)])
+    # one reader walking bit by bit, so each refill replaces a window in use
+    check_against_reference(data, nbits, [op for _ in range(nbits)
+                                          for op in (("peek", 64), ("skip", 1))])
+    check_against_reference(data, nbits - 5, [op for _ in range(nbits)
+                                              for op in (("peek", 17), ("read", 1))])
