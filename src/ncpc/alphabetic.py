@@ -30,7 +30,7 @@ import numpy as np
 
 from .bits import BitReader
 from .codewords import MAX_CODEWORD_BITS, int_list, parent_depths
-from .errors import KraftViolation, TruncatedStream, Underflow
+from .errors import KraftViolation
 from .succinct import Bitvector
 
 
@@ -379,10 +379,7 @@ class CompactAlphabeticCode:
             l = self.cutoff + h
             d = (w >> (cap - l)) & ((1 << h) - 1)  # the offset after the run's prefix
             e = (c + d, l) if d < deep else (c + shift + (d >> 1), l - 1)
-        try:
-            reader.skip(e[1])
-        except Underflow:
-            raise TruncatedStream("truncated stream") from None
+        reader.skip(e[1])
         return e
 
     def codeword_arrays(self) -> tuple[np.ndarray, np.ndarray]:

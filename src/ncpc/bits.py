@@ -2,8 +2,9 @@
 
 pack_bits packs arrays of values most-significant-bit first into bytes;
 BitReader consumes them in the same order. peek() zero-pads past the
-stream's last bit, read()/skip() never move the cursor past it, and a
-width out of range is a ValueError before any check of the stream.
+stream's last bit; read()/skip() never move the cursor past it and raise
+TruncatedStream instead, and a width out of range is a ValueError before
+any check of the stream. read() is those checks plus one peek().
 BitReader serves peeks from a 128-bit window it refills only when a peek
 runs past it; the window belongs to the reader, not to the models that
 decode through it, so those stay immutable.
@@ -15,7 +16,7 @@ import operator
 
 import numpy as np
 
-from .errors import Underflow
+from .errors import TruncatedStream
 
 
 _CHUNK = 1 << 16  # values unpacked at a time, one byte per bit: 4 MiB
@@ -76,7 +77,9 @@ class BitReader:
     for pass that end; after a refill the cursor sits in the window's
     first byte, so any peek of up to 64 bits fits. A peek is then one
     compare, one shift and one mask. The window is this reader's own
-    state, so the models that decode through it hold none.
+    state, so the models that decode through it hold none. read(w) is the
+    width and length checks, one peek(w) and the advance; read() and
+    skip() raise TruncatedStream, without moving, when fewer bits remain.
     """
 
     __slots__ = ("_data", "_nbits", "_pos", "_win", "_end")
@@ -117,21 +120,17 @@ class BitReader:
         return (self._win >> (end - pos - width)) & ((1 << width) - 1)
 
     def read(self, width: int) -> int:
-        pos = self._pos
-        if width == 1 and pos < self._nbits:  # one bit, straight from its byte
-            self._pos = pos + 1
-            return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
         if width < 0 or width > 64:
             raise ValueError(f"width out of range: {width}")
-        if width > self._nbits - pos:
-            raise Underflow("underflow")
+        if width > self._nbits - self._pos:
+            raise TruncatedStream("truncated stream")
         v = self.peek(width)
-        self._pos = pos + width
+        self._pos += width
         return v
 
     def skip(self, width: int) -> None:
         if width < 0:
             raise ValueError(f"width out of range: {width}")
         if width > self._nbits - self._pos:
-            raise Underflow("underflow")
+            raise TruncatedStream("truncated stream")
         self._pos += width

@@ -19,7 +19,7 @@ from .alphabetic import build_alphabetic_code, compile_code  # noqa: F401 (ncpcb
 from .bits import BitReader
 from .corpus import (FAMILY_BY_NAME, SymbolSequence, _container_bytes, container_read,
                      container_write, depth_entropy, family_codewords, family_depths,
-                     gen_zipf, ingest, stats)
+                     gen_zipf, ingest, raw_values, stats)
 from .errors import ContainerError, NcpcError
 from .revcanon import RevCanonCode, huffman_lengths
 from .stream import SequenceCodec
@@ -99,20 +99,13 @@ def _sequence_for_encode(data: bytes, mode: str) -> SymbolSequence:
     bytes input always uses sigma=256 so any byte file round-trips exactly;
     u32le uses sigma = max value + 1.
     """
-    if not data:
-        raise ValueError("empty input")
+    vals = raw_values(data, mode)
     if mode == "bytes":
-        vals = np.frombuffer(data, dtype=np.uint8)
         return SymbolSequence.from_symbols(vals.astype(np.uint32) + 1, 256)
-    if mode == "u32le":
-        if len(data) % 4:
-            raise ValueError("truncated u32 record")
-        vals = np.frombuffer(data, dtype="<u4")
-        sigma = int(vals.max()) + 1
-        if sigma > _SIGMA_CAP:
-            raise ValueError(f"alphabet too large for encode: sigma={sigma}")
-        return SymbolSequence.from_symbols(vals.astype(np.uint64) + 1, sigma)
-    raise ValueError(f"mode not supported for encode: {mode}")
+    sigma = int(vals.max()) + 1
+    if sigma > _SIGMA_CAP:
+        raise ValueError(f"alphabet too large for encode: sigma={sigma}")
+    return SymbolSequence.from_symbols(vals.astype(np.uint64) + 1, sigma)
 
 
 def cmd_encode(args) -> int:

@@ -67,6 +67,21 @@ class SymbolSequence:
         return np.maximum(self.freqs, 1)
 
 
+def raw_values(data: bytes, mode: str) -> np.ndarray:
+    """The records of bytes / u32le input: one uint8 per byte, or one
+    little-endian uint32 per 4 bytes. Refuses empty input and a partial
+    u32 record."""
+    if mode not in ("bytes", "u32le"):
+        raise ValueError(f"unknown ingest mode: {mode}")
+    if not data:
+        raise ValueError("empty input")
+    if mode == "bytes":
+        return np.frombuffer(data, dtype=np.uint8)
+    if len(data) % 4:
+        raise ValueError("truncated u32 record")
+    return np.frombuffer(data, dtype="<u4")
+
+
 def ingest(data: bytes, mode: str) -> SymbolSequence:
     """Map raw input to a dense symbol sequence.
 
@@ -74,17 +89,7 @@ def ingest(data: bytes, mode: str) -> SymbolSequence:
     ranks 1..sigma). tokens: whitespace-separated tokens, ids in
     first-occurrence order.
     """
-    if mode == "bytes":
-        if not data:
-            raise ValueError("empty input")
-        vals = np.frombuffer(data, dtype=np.uint8)
-    elif mode == "u32le":
-        if not data:
-            raise ValueError("empty input")
-        if len(data) % 4:
-            raise ValueError("truncated u32 record")
-        vals = np.frombuffer(data, dtype="<u4")
-    elif mode == "tokens":
+    if mode == "tokens":
         toks = data.split()
         if not toks:
             raise ValueError("empty input")
@@ -93,8 +98,7 @@ def ingest(data: bytes, mode: str) -> SymbolSequence:
         for k, t in enumerate(toks):
             ids[k] = first.setdefault(t, len(first) + 1)
         return SymbolSequence.from_symbols(ids, len(first))
-    else:
-        raise ValueError(f"unknown ingest mode: {mode}")
+    vals = raw_values(data, mode)
     uniq = np.unique(vals)
     ids = (np.searchsorted(uniq, vals) + 1).astype(np.uint32)
     return SymbolSequence.from_symbols(ids, len(uniq))

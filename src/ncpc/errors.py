@@ -5,12 +5,12 @@ class NcpcError(Exception):
     """Base class for library errors."""
 
 
-class Underflow(NcpcError, ValueError):
-    """Bit reader asked for more bits than the stream holds."""
-
-
 class TruncatedStream(NcpcError, ValueError):
-    """Encoded payload ended in the middle of a codeword."""
+    """The stream ran short: a read or skip asked for more bits than
+    remain, or the payload ended in the middle of a codeword."""
+
+
+Underflow = TruncatedStream  # an older name, so `except Underflow` still catches short reads
 
 
 class NoSuchOccurrence(NcpcError, LookupError):

@@ -30,7 +30,7 @@ import numpy as np
 from .bits import BitReader
 from .codewords import huffman_lengths  # noqa: F401 (part of this module's API)
 from .codewords import check_kraft, depth_tables, revcanon_codewords
-from .errors import InvalidCodeState, TruncatedStream, Underflow
+from .errors import InvalidCodeState
 from .succinct import WaveletTree
 
 
@@ -202,10 +202,7 @@ class RevCanonCode:
             else:
                 raise InvalidCodeState("invalid code state")
             e = (self.D.select(d, r), d)    # a leaf at depth d used d bits
-        try:
-            reader.skip(e[1])
-        except Underflow:
-            raise TruncatedStream("truncated stream") from None
+        reader.skip(e[1])
         return e
 
     def codeword_set(self) -> list[tuple[int, int, int]]:

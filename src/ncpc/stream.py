@@ -78,9 +78,9 @@ class SequenceCodec:
         of it by default); raises TruncatedStream if they run out, and
         ValueError if nbits exceeds data.
 
-        Every codeword is read from one accumulator, refilled 4 bytes at a
-        time (8 when codewords exceed 32 bits) whenever it holds fewer than
-        max_len bits, so it always holds the next codeword whole.
+        Every codeword is read from one accumulator, refilled 8 bytes at a
+        time whenever it holds fewer than max_len bits, so it always holds
+        the next codeword whole.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
@@ -99,8 +99,6 @@ class SequenceCodec:
         tsym = self._tsym
         long = tuple(self._long.items())
         need = self.max_len
-        step = 4 if need <= 32 else 8  # bytes per refill
-        width = 8 * step
         buf = bytes(data) + b"\x00" * 16
         out = [0] * n
         acc = 0
@@ -108,10 +106,10 @@ class SequenceCodec:
         pos = 0
         for k in range(n):
             if have < need:
-                acc = (((acc & ((1 << have) - 1)) << width)
-                       | int.from_bytes(buf[pos:pos + step], "big"))
-                pos += step
-                have += width
+                acc = (((acc & ((1 << have) - 1)) << 64)
+                       | int.from_bytes(buf[pos:pos + 8], "big"))
+                pos += 8
+                have += 64
             w = (acc >> (have - t)) & tmask
             l = tlen[w]
             if l:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bits import BitReader
 from .codewords import MAX_CODEWORD_BITS
-from .errors import InvalidStream, TruncatedStream, Underflow
+from .errors import InvalidStream
 
 
 class TableCode:
@@ -68,10 +68,7 @@ class TableCode:
             v = w >> (m - ln)
             k = bisect_left(vals, v)
             if k < len(vals) and vals[k] == v:
-                try:
-                    reader.skip(ln)
-                except Underflow:
-                    raise TruncatedStream("truncated stream") from None
+                reader.skip(ln)
                 return (chars[k], ln)
         raise InvalidStream("invalid stream: no codeword matches")
 

@@ -22,7 +22,7 @@ def test_msb_first_layout():
 
 def test_underflow():
     r = BitReader(*pack_bits([0b101], [3]))
-    with pytest.raises(Underflow, match="underflow"):
+    with pytest.raises(Underflow, match="truncated stream"):
         r.read(4)
 
 

@@ -49,9 +49,11 @@ def wmm_and_table_decoders(code: RevCanonCode):
 
 
 def models(case):
-    """(name, model) for the case's wmm and alpha codes; L64 is wmm only."""
-    if case == "L64":
-        yield "wmm", RevCanonCode(list(range(1, 65)) + [64])
+    """(name, model) for the case's wmm and alpha codes. "L<m>" is wmm only:
+    lengths 1..m plus m, so the longest codewords are m bits."""
+    if isinstance(case, str):
+        m = int(case[1:])
+        yield "wmm", RevCanonCode(list(range(1, m + 1)) + [m])
         return
     freqs = seeded_freqs(case)
     yield "wmm", RevCanonCode(huffman_lengths(freqs))
@@ -66,7 +68,7 @@ def decoders(case):
             yield name, model, model.decode
 
 
-@pytest.mark.parametrize("case", [1, 2, 5, 257, 4096, "L64"])
+@pytest.mark.parametrize("case", [1, 2, 5, 257, 4096, "L32", "L33", "L64"])
 def test_one_peek_and_one_skip_per_codeword(case):
     for name, model, decode in decoders(case):
         cws = [model.encode(c) for c in range(1, model.sigma + 1)]
@@ -101,7 +103,7 @@ def test_one_peek_and_one_skip_per_codeword(case):
             assert (r.peeks, r.skips) == (calls, calls + 1), (name, cut)
 
 
-@pytest.mark.parametrize("case", [1, 2, 5, 257, 4096, "L64"])
+@pytest.mark.parametrize("case", [1, 2, 5, 257, 4096, "L32", "L33", "L64"])
 def test_bulk_decoder_on_the_every_character_stream(case):
     for name, model in models(case):
         sc = SequenceCodec.for_code(model)
