@@ -17,6 +17,7 @@ import numpy as np
 
 from .alphabetic import build_alphabetic_code, compile_code  # noqa: F401 (ncpcbench patches it)
 from .bits import BitReader
+from .codewords import depth_tables
 from .corpus import (FAMILY_BY_NAME, SymbolSequence, _container_bytes, container_read,
                      container_write, depth_entropy, family_codewords, family_depths,
                      gen_zipf, ingest, raw_values, stats)
@@ -321,6 +322,13 @@ def _check_roundtrips(code, msg: list[int]) -> None:
     assert codec.decode(data, len(msg), nbits).tolist() == msg, "bulk round trip"
 
 
+def _check_wmm(code, msg: list[int]) -> None:
+    """_check_roundtrips, after the per-depth counts that child_rank and
+    parent_rank read: encode and decode read only tables built with the code."""
+    assert (code.leaves, code.nodes) == depth_tables(code.depths), "per-depth counts"
+    _check_roundtrips(code, msg)
+
+
 def _selftest_checks():
     rng = np.random.default_rng(7)
     weights = rng.integers(1, 50, 64).tolist()
@@ -348,8 +356,8 @@ def _selftest_checks():
             raise AssertionError(f"accepted {bad!r}")
 
     return [
-        ("wmm-five-char", lambda: _check_roundtrips(RevCanonCode([1, 2, 3, 4, 4]), [4, 1, 5])),
-        ("wmm-roundtrip", lambda: _check_roundtrips(wmm(), msg)),
+        ("wmm-five-char", lambda: _check_wmm(RevCanonCode([1, 2, 3, 4, 4]), [4, 1, 5])),
+        ("wmm-roundtrip", lambda: _check_wmm(wmm(), msg)),
         ("alpha-roundtrip", lambda: _check_roundtrips(build_alphabetic_code(weights), msg)),
         ("table-roundtrip", lambda: _check_roundtrips(TableCode.from_code(wmm()), msg)),
         ("container-roundtrip", container_roundtrip),

@@ -11,8 +11,11 @@ t = ceil(ceil(lg sigma) / 2) bits. Decoding starts from the root table,
 which answers codewords of at most t bits outright and gives the rank at
 depth t for the rest; encoding ends in its inverse, the label table,
 which gives the first t bits of a codeword from the rank its ascent
-reaches at depth t, so the ascent climbs only l - t levels. A
-DescentTable is the same root table at a width the caller chooses.
+reaches at depth t, so the ascent climbs only l - t levels. Encoding
+runs D's level steps itself, and the level where a character's depth
+leaves D's matrix hands it that depth's label offset and ascent steps,
+so an encode makes no wavelet query. A DescentTable is the same root
+table at a width the caller chooses.
 
 Rank conventions at depth d (1-based ranks over reversed path labels):
 leaves occupy ranks 1..leaves[d], internal nodes the rest; a node is a
@@ -31,7 +34,7 @@ from .bits import BitReader
 from .codewords import huffman_lengths  # noqa: F401 (part of this module's API)
 from .codewords import check_kraft, depth_tables, revcanon_codewords
 from .errors import InvalidCodeState
-from .succinct import WaveletTree
+from .succinct import _RANK8, WaveletTree
 
 
 class RevCanonCode:
@@ -53,6 +56,16 @@ class RevCanonCode:
     d-bit label at label[first[d] + r - 1], first[d] being the number of
     leaves above depth d. Both cost O(sqrt(sigma) log sigma) bits, which
     size_breakdown() counts.
+
+    encode runs D's level step itself over D's own per-level tuples, whose
+    leaf entries it maps from D's codeword of a depth l to (l, label
+    offset, ascent). The offset is first[l] - start for l <= t and -start
+    above it, start being the block where depth l begins in its level;
+    the ascent is (half[d], leaves[d-1], 1 << (l - d)) for d = l down to
+    t + 1, the last step adding first[t]. Each is a function of the
+    counted leaf counts and of D, so the entries add no accounted bits.
+    Calling D.access_rank instead costs a method frame, a range check and
+    a result tuple, about 11% of an encode on the benchmark's zipf corpora.
     """
 
     def __init__(self, lengths, shape: str = "huffman") -> None:
@@ -85,6 +98,27 @@ class RevCanonCode:
         self._steps = tuple((d, self.leaves[d - 1], self._half[d], self.leaves[d], L - d)
                             for d in range(1, L + 1))
         self._below_root = self._steps[self.t:]
+        # encode's walk: D's levels, each leaf entry (depth l, block start) made l's entry
+        walk = self.D._access_walk if self.D is not None else ()
+        self._walk = tuple((data, ranks, zeros, ended,
+                            {v: self._encode_entry(l, start) for v, (l, start) in leaf.items()})
+                           for data, ranks, zeros, ended, leaf in walk)
+        # a matrix of height 0 (and sigma = 1) holds one depth, L, from rank 1
+        self._one_depth = self._encode_entry(L, 0)
+
+    def _encode_entry(self, l: int, start: int) -> tuple[int, int, tuple]:
+        """(l, label offset, ascent) of depth l, whose block in its level of
+        D starts at `start`: the character at 0-based position q there has
+        0-based rank q - start among depth l, so for l <= t its label is at
+        q + offset, and for l > t the ascent's last step lands on the label
+        index of its node at depth t."""
+        t = self.t
+        if l <= t:
+            return (l, self._first[l] - start, ())
+        ascent = [(self._half[d], self.leaves[d - 1], 1 << (l - d)) for d in range(l, t, -1)]
+        h, up, bit = ascent[-1]
+        ascent[-1] = (h, up + self._first[t], bit)
+        return (l, -start, tuple(ascent))
 
     def _root_table(self, t: int) -> tuple[list, list[int]]:
         """The root table over t <= L bits and its inverse label table.
@@ -145,30 +179,43 @@ class RevCanonCode:
         """Codeword (value, length) of character i: its first t bits from
         the label table, the rest by leaf-to-root ascent.
 
-        One wavelet walk gives the length l = D[i] and the character's rank
-        among those of length l. A codeword of at most t bits is its leaf's
-        label; a longer one ascends from depth l to depth t + 1, each step
-        parent_rank inlined and reading one bit from the low end, and takes
-        its first t bits from the label of the node reached at depth t.
+        One walk down D's levels, each step access_rank's rank step inline,
+        ends at the level where i's depth l leaves the matrix and reads that
+        depth's entry: its offset into the label table and its ascent. A
+        codeword of at most t bits is the label of its leaf; a longer one
+        takes one bit per ascent step from the low end, parent_rank inlined,
+        and its first t bits from the label of the node reached at depth t.
         """
         if not 1 <= i <= self.sigma:
             raise IndexError(f"character out of range: {i}")
-        if self.sigma == 1:
-            return (0, 0)
-        l, r = self.D.access_rank(i)
-        t = self.t
-        if l <= t:
-            return (self.label[self._first[l] + r - 1], l)
-        leaves = self.leaves
-        half = self._half
+        p = i - 1           # 0-based position among the entries at this level
+        v = 0               # D's codeword bits read so far
+        for data, ranks, zeros, ended, leaf in self._walk:
+            x = _RANK8[data[p >> 3] << 3 | (p & 7)]
+            ones = ranks[p >> 3] + (x >> 1)
+            if x & 1:
+                v = (v << 1) | 1
+                q = zeros + ones
+            else:
+                v <<= 1
+                q = p - ones
+            if q < ended:
+                l, r, ascent = leaf[v]
+                r += q
+                break
+            p = q - ended
+        else:
+            l, r, ascent = self._one_depth
+            r += p
+        if not ascent:
+            return (self.label[r], l)
         v = 0
-        for d in range(l, t, -1):
-            h = half[d]
-            if r > h:
-                v |= 1 << (l - d)
+        for h, up, bit in ascent:
+            if r >= h:
+                v |= bit
                 r -= h
-            r += leaves[d - 1]
-        return (v | self.label[self._first[t] + r - 1] << (l - t), l)
+            r += up
+        return (v | self.label[r] << (l - self.t), l)
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         """(character, length) for the next codeword, by root-to-leaf descent.

@@ -15,6 +15,7 @@ from ncpc.corpus import gen_zipf
 from ncpc.errors import KraftViolation, NcpcError, NoSuchOccurrence, TruncatedStream
 from ncpc.revcanon import RevCanonCode, build_descent_table, huffman_lengths
 from ncpc.stream import SequenceCodec
+from ncpc.succinct import WaveletTree
 
 
 FIVE = [1, 2, 3, 4, 4]  # lengths of the running five-character example
@@ -334,16 +335,37 @@ def test_label_table_inverts_the_root_table(rng):
 
 def test_encode_matches_per_bit_ascent(rng):
     """The label-table encode against a parent_rank ascent, for every
-    character: random codes, codes with leaves at depth t, and L = 64,
-    whose codewords fill a whole peek."""
+    character: random codes, codes with leaves at depth t, L = 64, whose
+    codewords fill a whole peek, and uniform codes, whose D is a matrix
+    of height 0 and whose every codeword climbs l - t >= 2 levels."""
     codes = [RevCanonCode(lengths) for lengths in ROOT_TABLE_LENGTHS]
     assert all(c.leaves[c.t] for c in codes[1:5])     # leaves at exactly depth t
+    for lengths in ([5] * 32, [12] * 4096):
+        code = RevCanonCode(lengths)
+        assert code.D.height == 0 and code.L - code.t >= 2
+        codes.append(code)
     for sigma in (2, 3, 5, 17, 256, 4096):
         for weights in tie_heavy_weight_cases(rng, 3, sigma_max=sigma, sigma_min=sigma):
             codes.append(RevCanonCode(huffman_lengths(weights)))
     for code in codes:
         assert code.codeword_set() == [
             (i, v, l) for i, (v, l) in enumerate(revcanon_encode_per_bit(code), 1)]
+
+
+def test_encode_makes_no_wavelet_query(monkeypatch):
+    """encode walks D's levels itself: with every WaveletTree query
+    refusing, each character still encodes to its codeword."""
+    codes = [RevCanonCode(huffman_lengths(gen_zipf(200_000, 4096, 1.0, 1).smoothed_freqs())),
+             RevCanonCode(list(range(1, 65)) + [64]), RevCanonCode([5] * 32)]
+
+    def refuse(*_):
+        raise AssertionError("wavelet query")
+    for name in ("access_rank", "access", "rank", "select"):
+        monkeypatch.setattr(WaveletTree, name, refuse)
+    for code in codes:
+        vals, lens = code.codeword_arrays()
+        assert ([code.encode(i) for i in range(1, code.sigma + 1)]
+                == list(zip(vals.tolist(), lens.tolist())))
 
 
 def test_decode_matches_per_bit_descent_random_codes(rng):
