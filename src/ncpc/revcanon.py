@@ -8,14 +8,16 @@ leaf counts, and codewords are never materialized: encoding walks the
 implicit code tree from leaf to root and decoding from root to leaf,
 using only rank arithmetic. Both directions share a table over the first
 t = ceil(ceil(lg sigma) / 2) bits. Decoding starts from the root table,
-which answers codewords of at most t bits outright and gives the rank at
-depth t for the rest; encoding ends in its inverse, the label table,
-which gives the first t bits of a codeword from the rank its ascent
-reaches at depth t, so the ascent climbs only l - t levels. Encoding
-runs D's level steps itself, and the level where a character's depth
-leaves D's matrix hands it that depth's label offset and ascent steps,
-so an encode makes no wavelet query. A DescentTable is the same root
-table at a width the caller chooses.
+which answers codewords of at most t bits outright and gives the label
+index of the node at depth t for the rest; encoding ends in its inverse,
+the label table, which gives the first t bits of a codeword from the
+rank its ascent reaches at depth t, so the ascent climbs only l - t
+levels. Encoding runs D's level steps itself, and the level where a
+character's depth leaves D's matrix hands it that depth's label offset
+and ascent steps, so an encode makes no wavelet query. Decoding carries
+the label index of its node down to the depth where its codeword ends,
+and names the character with one select on D. A DescentTable is the
+same root table at a width the caller chooses.
 
 Rank conventions at depth d (1-based ranks over reversed path labels):
 leaves occupy ranks 1..leaves[d], internal nodes the rest; a node is a
@@ -50,11 +52,12 @@ class RevCanonCode:
 
     root has one entry per t-bit window, t = ceil(ceil(lg sigma) / 2) <= L:
     (c, d) when the window starts with character c's codeword of length
-    d <= t, else the window's internal rank at depth t. label inverts it:
-    each window starts with exactly one node, a leaf of depth d <= t or an
-    internal node at depth t, and the node of rank r at depth d has its
-    d-bit label at label[first[d] + r - 1], first[d] being the number of
-    leaves above depth d. Both cost O(sqrt(sigma) log sigma) bits, which
+    d <= t, else first[t] + r for the rank r of the window's internal node
+    at depth t. label inverts it: each window starts with exactly one node,
+    a leaf of depth d <= t or an internal node at depth t, and the node of
+    rank r at depth d has its d-bit label at label[first[d] + r - 1],
+    first[d] being the number of leaves above depth d; so a miss entry e
+    has label[e - 1] == w. Both cost O(sqrt(sigma) log sigma) bits, which
     size_breakdown() counts.
 
     encode runs D's level step itself over D's own per-level tuples, whose
@@ -66,6 +69,15 @@ class RevCanonCode:
     counted leaf counts and of D, so the entries add no accounted bits.
     Calling D.access_rank instead costs a method frame, a range check and
     a result tuple, about 11% of an encode on the benchmark's zipf corpora.
+
+    decode descends on the label index R = first[d] + r of the node of
+    rank r at depth d, over one entry per depth d = 1..L: (half[d],
+    first[d+1], 1 << (L - d), d, first[d]). A step down tests bit d of the
+    peek with the mask and adds half[d] on a 1-bit, since first absorbs
+    the leaves[d-1] that child_rank subtracts, and the node is a leaf iff
+    R <= first[d+1]; its rank among depth d's leaves is R - first[d]. The
+    entries are functions of the counted leaf counts, so they add no
+    accounted bits.
     """
 
     def __init__(self, lengths, shape: str = "huffman") -> None:
@@ -94,10 +106,11 @@ class RevCanonCode:
         # t <= ceil(lg sigma) <= L, so every window fits in one peek
         self.t = ((sigma - 1).bit_length() + 1) // 2
         self.root, self.label = self._root_table(self.t)
-        # a descent step per depth d = 1..L: (d, leaves[d-1], half[d], leaves[d], L - d)
-        self._steps = tuple((d, self.leaves[d - 1], self._half[d], self.leaves[d], L - d)
-                            for d in range(1, L + 1))
-        self._below_root = self._steps[self.t:]
+        # decode's descent: per depth d = 1..L, (half[d], first[d+1], the
+        # mask of bit d in an L-bit peek, d, first[d])
+        self._descent = tuple((self._half[d], self._first[d + 1], 1 << (L - d), d, self._first[d])
+                              for d in range(1, L + 1))
+        self._below_root = self._descent[self.t:]   # decode's, sliced once, not per call
         # encode's walk: D's levels, each leaf entry (depth l, block start) made l's entry
         walk = self.D._access_walk if self.D is not None else ()
         self._walk = tuple((data, ranks, zeros, ended,
@@ -142,7 +155,7 @@ class RevCanonCode:
                     r += half[d]
             label[first[d] + r - 1] = w >> (t - d)
             if r > leaves[d]:
-                root.append(r)
+                root.append(first[t] + r)
             else:
                 c = self.D.select(d, r) if d else 1
                 root += [(c, d)] * (1 << (t - d))
@@ -222,33 +235,39 @@ class RevCanonCode:
 
         Peeks L <= 64 bits once. The root table answers from the first t of
         them: a codeword of at most t bits is returned with no descent and
-        no select on D; otherwise the descent resumes at depth t, child_rank
-        per bit below the window from one precomputed tuple per depth, and
-        one D.select names the leaf. Then skips the codeword's bits.
+        no select on D; otherwise its entry is the label index R of the
+        window's internal node at depth t, and the descent resumes below it,
+        one entry per depth, adding half[d] to R on a 1-bit until R falls
+        within depth d's leaves. One D.select(d, R - first[d]) names the
+        leaf's character, and decode skips the codeword. That select is
+        decode's only wavelet query; its level steps are folded when D is
+        built (see WaveletTree).
         decode_fast takes the same walk through a DescentTable's root table.
         """
         return self._descend(reader, self.t, self.root, self._below_root)
 
     def decode_fast(self, table: "DescentTable", reader: BitReader) -> tuple[int, int]:
-        """decode() through the table's root table in place of the code's own."""
-        return self._descend(reader, table.t, table.root, self._steps[table.t:])
+        """decode() through the table's root table in place of the code's own:
+        the descent resumes at depth table.t + 1 over the same entries."""
+        return self._descend(reader, table.t, table.root, self._descent[table.t:])
 
-    def _descend(self, reader: BitReader, t: int, root: list, steps: tuple) -> tuple[int, int]:
-        """decode() from a root table over the first t <= L bits, then depths t+1..L."""
+    def _descend(self, reader: BitReader, t: int, root: list, descent: tuple) -> tuple[int, int]:
+        """decode() from a root table over the first t <= L bits, then the
+        descent entries of depths t+1..L."""
         L = self.L
         chunk = reader.peek(L)
         e = root[chunk >> (L - t)]
         if type(e) is not tuple:
-            r = e
-            for d, up, half, leaves, shift in steps:
-                r -= up
-                if chunk >> shift & 1:
-                    r += half
-                if r <= leaves:
+            for half, stop, mask, d, above in descent:
+                if chunk & mask:
+                    e += half
+                if e <= stop:
                     break
             else:
                 raise InvalidCodeState("invalid code state")
-            e = (self.D.select(d, r), d)    # a leaf at depth d used d bits
+            c = self.D.select(d, e - above)
+            reader.skip(d)      # a leaf at depth d used d bits
+            return (c, d)
         reader.skip(e[1])
         return e
 
@@ -269,10 +288,13 @@ class RevCanonCode:
         0..L at ceil(lg(sigma+1)) bits; nodes and the halves follow from
         them (nodes[d+1] = 2 * (nodes[d] - leaves[d])). root: 2^t entries,
         each a depth of at most t or a miss mark (ceil(lg(t+2)) bits) and a
-        character or an internal rank at depth t, at most 2^t <= sigma
-        (ceil(lg(sigma+1)) bits). label: one t-bit label per node that
-        starts a root window, at most 2^t entries; its offsets first[d]
-        are sums of leaf counts.
+        character or a miss's label index first[t] + r, at most
+        first[t] + nodes[t] <= 2^t <= sigma (ceil(lg(sigma+1)) bits).
+        label: one t-bit label per node that starts a root window, at most
+        2^t entries; its offsets first[d] are sums of leaf counts. encode's
+        walk (a function of the leaf counts and of D, sharing D's level
+        lists) and decode's descent entries (functions of the leaf counts)
+        count nothing more.
         """
         count = self.sigma.bit_length()
         return {"D": self.D.size_bits() if self.D is not None else 0,
@@ -286,7 +308,9 @@ class RevCanonCode:
 
 class DescentTable(NamedTuple):
     """A code's root table (see RevCanonCode) at a width t the caller chose;
-    decode_fast descends through it."""
+    decode_fast descends from it over the code's descent entries for the
+    depths t+1..L, as decode does from the code's own. A miss entry is the
+    label index first[t] + r at this t."""
 
     t: int
     root: list

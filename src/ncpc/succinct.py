@@ -127,7 +127,8 @@ class WaveletTree:
     is symbol c's weight, a positive integer of any size wherever c
     occurs; without weights, each symbol weighs its count in seq. select
     walks a symbol's steps, precomputed per level from its codeword's bit
-    there, from the bottom up: each is Bitvector.select1 or select0 inlined.
+    there, from the bottom up: each is Bitvector.select1 or select0 inlined,
+    with its offsets folded at build time.
     """
 
     def __init__(self, seq, alpha: int, weights=None) -> None:
@@ -186,18 +187,30 @@ class WaveletTree:
             dropped = ended
         # The same levels as flat tuples of the fields each walk reads, so a
         # query step loads no Bitvector attribute: top-down for access_rank,
-        # and for select each level's select0 and select1 step, k = q - off.
+        # and for select each level's select0 and select1 step: the entry at
+        # 0-based position q in the order a level's bits sort its entries
+        # into has rank k = q - off among its zeros or ones, and selecting
+        # that rank gives its position p in the level, q' = dropped + p in
+        # the order above.
         levels = self._levels
         self._access_walk = tuple((bv._bytes, bv._ranks, zeros, ended, leaf)
                                   for bv, zeros, _, ended, leaf in levels)
-        steps = [((bv._bytes, bv._zranks, _SEL0, -1, dropped),
+        sides = [((bv._bytes, bv._zranks, _SEL0, -1, dropped),
                   (bv._bytes, bv._ranks, _SEL8, zeros - 1, dropped))
                  for bv, zeros, dropped, _, _ in levels]
-        self._selects: list = [None] * (alpha + 1)    # (block start, count, steps)
+        # Per symbol (k0, count, chain): the step its codeword's bit picks at
+        # each of its levels, bottom up, as (bytes, counts, table, add), add
+        # being dropped minus the next step's off, or dropped + 1 at the top,
+        # whose q' + 1 is the answer; k0 = block start - 1 - the bottom off,
+        # so k0 + r is the bottom step's rank. A step is then one bisect, one
+        # lookup and one add.
+        self._selects: list = [(0, 0, ())] * (alpha + 1)
         for s, (v, ln, start, end) in self._codes.items():
-            # the step its codeword's bit picks at each of its levels, bottom up
-            self._selects[s] = (start, end - start, tuple(
-                steps[k][v >> (ln - 1 - k) & 1] for k in range(ln - 1, -1, -1)))
+            steps = [sides[k][v >> (ln - 1 - k) & 1] for k in range(ln - 1, -1, -1)]
+            offs = [off for *_, off, _ in steps] + [-1]
+            self._selects[s] = (start - 1 - offs[0], end - start, tuple(
+                (data, counts, table, dropped - offs[i + 1])
+                for i, (data, counts, table, _, dropped) in enumerate(steps)))
 
     def access_rank(self, i: int) -> tuple[int, int]:
         """(c, rank(c, i)) for the symbol c at position i, in one walk."""
@@ -246,17 +259,16 @@ class WaveletTree:
         """1-based position of the r-th occurrence of symbol c."""
         if not 1 <= c <= self.alpha:
             raise ValueError(f"symbol out of range: {c}")
-        if r < 1:
-            raise ValueError(f"select rank out of range: {r}")
-        start, count, steps = self._selects[c] or (0, 0, ())
-        if r > count:
+        k, count, chain = self._selects[c]
+        if not 1 <= r <= count:
+            if r < 1:
+                raise ValueError(f"select rank out of range: {r}")
             raise NoSuchOccurrence(f"no occurrence {r} of symbol {c}")
-        q = start + r - 1   # 0-based, among the entries where the codeword ends
-        for data, counts, table, off, dropped in steps:
-            k = q - off
+        k += r
+        for data, counts, table, add in chain:
             j = bisect_left(counts, k) - 1
-            q = (j << 3) + dropped + table[data[j]][k - counts[j]]
-        return q + 1
+            k = (j << 3) + add + table[data[j]][k - counts[j]]
+        return k
 
     def size_bits(self) -> int:
         """Accounted size of the matrix.

@@ -474,3 +474,37 @@ def test_selftest_checks_every_wavelet_select(monkeypatch, capsys):
     monkeypatch.setattr(WaveletTree, "select", off_at_the_end)
     assert run(["selftest"]) == EXIT_SELFTEST
     assert "FAIL wmm-roundtrip" in capsys.readouterr().out
+
+
+def test_selftest_checks_every_descent_stop(monkeypatch, capsys):
+    """A descent that misses only the last leaf of one depth fails the
+    selftest: decoding every codeword of the sigma = 64 code stops at every
+    leaf of every depth. Lowering depth 5's stop bound first[6] by one sends
+    its last leaf, character 57, past depth 5, and no other character."""
+    import ncpc.cli
+    from ncpc.bits import BitReader, pack_bits
+    from ncpc.revcanon import RevCanonCode, huffman_lengths
+
+    def stops_short_at_depth_5(lengths):
+        code = RevCanonCode(lengths)
+        if code.sigma == 64:
+            half, stop, *rest = code._descent[4]
+            code._descent = code._descent[:4] + ((half, stop - 1, *rest),) + code._descent[5:]
+            code._below_root = code._descent[code.t:]
+        return code
+
+    weights = np.random.default_rng(7).integers(1, 50, 64).tolist()
+    code = stops_short_at_depth_5(huffman_lengths(weights))
+    vals, lens = code.codeword_arrays()
+    assert max(c for c in range(1, 65) if lens[c - 1] == 5) == 57
+    decoded = []
+    for c in range(1, 65):
+        try:
+            decoded.append(code.decode(BitReader(*pack_bits([int(vals[c - 1])], [int(lens[c - 1])]))))
+        except Exception:
+            decoded.append(None)
+    assert [c for c in range(1, 65) if decoded[c - 1] != (c, lens[c - 1])] == [57]
+
+    monkeypatch.setattr(ncpc.cli, "RevCanonCode", stops_short_at_depth_5)
+    assert run(["selftest"]) == EXIT_SELFTEST
+    assert "FAIL wmm-roundtrip" in capsys.readouterr().out

@@ -281,11 +281,13 @@ def root_table_cases(rng) -> tuple:
 
 def test_root_table_width_and_entries(rng):
     """t = ceil(ceil(lg sigma) / 2); window w holds (c, d) when it starts with
-    c's codeword of length d <= t, else the rank of its node at depth t."""
+    c's codeword of length d <= t, else first[t] + r for the rank r of its
+    node at depth t: that node's index + 1 in the label table."""
     for lengths in root_table_cases(rng):
         code = RevCanonCode(lengths)
         sigma = len(lengths)
         t = code.t
+        first_t = sum(code.leaves[:t])
         assert t == -(-int(np.ceil(np.log2(sigma))) // 2)
         assert len(code.root) == 1 << t
         want: list = [None] * (1 << t)
@@ -294,11 +296,11 @@ def test_root_table_width_and_entries(rng):
                 want[v << (t - l):(v + 1) << (t - l)] = [(c, l)] * (1 << (t - l))
         for w, e in enumerate(code.root):
             if want[w] is None:     # an internal node, whose rank the descent reaches
-                assert type(e) is int and code.leaves[t] < e <= code.nodes[t]
+                assert type(e) is int and code.leaves[t] < e - first_t <= code.nodes[t]
                 r = 1
                 for d in range(1, t + 1):
                     r = code.child_rank(d, r, (w >> (t - d)) & 1)
-                assert e == r
+                assert e == first_t + r
             else:
                 assert e == want[w]
         assert code.size_breakdown()["root"] == (1 << t) * (
@@ -309,9 +311,9 @@ def test_root_table_width_and_entries(rng):
 
 
 def test_label_table_inverts_the_root_table(rng):
-    """Every window maps back to the label of the node it starts with: w for
-    an internal node at depth t, w >> (t - d) for a leaf of depth d; and
-    every label entry is some window's node."""
+    """Every window maps back to the label of the node it starts with: w at
+    label[e - 1] for a miss entry e (an internal node at depth t), w >> (t - d)
+    for a leaf of depth d; and every label entry is some window's node."""
     for lengths in root_table_cases(rng):
         code = RevCanonCode(lengths)
         t, label = code.t, code.label
@@ -324,7 +326,7 @@ def test_label_table_inverts_the_root_table(rng):
         reached = set()
         for w, e in enumerate(code.root):
             if type(e) is int:
-                k, want = first[t] + e - 1, w
+                k, want = e - 1, w
             else:
                 c, d = e
                 k, want = first[d] + rank_of[c - 1] - 1, w >> (t - d)
@@ -366,6 +368,39 @@ def test_encode_makes_no_wavelet_query(monkeypatch):
         vals, lens = code.codeword_arrays()
         assert ([code.encode(i) for i in range(1, code.sigma + 1)]
                 == list(zip(vals.tolist(), lens.tolist())))
+
+
+def test_decode_makes_one_select_per_root_miss(monkeypatch):
+    """decode's only wavelet query is one D.select per codeword longer than
+    the root window: with access_rank, access and rank refusing, decode and
+    decode_fast at every width read each character's codeword back as
+    (c, l), also where D is a matrix of height 0 (one depth) or absent
+    (sigma = 1), and select runs once per codeword of more than t bits."""
+    codes = [RevCanonCode(huffman_lengths(gen_zipf(200_000, 4096, 1.0, 1).smoothed_freqs())),
+             RevCanonCode(list(range(1, 65)) + [64]), RevCanonCode([5] * 32),
+             RevCanonCode([12] * 4096), RevCanonCode([0]), RevCanonCode([1, 1])]
+    streams = []
+    for code in codes:
+        vals, lens = (a.tolist() for a in code.codeword_arrays())
+        tables = [build_descent_table(code, t) for t in (1, 4, 8, 16)]
+        streams.append((code, tables, pack_bits(vals, lens), lens))
+
+    def refuse(*_):
+        raise AssertionError("wavelet query")
+    for name in ("access_rank", "access", "rank"):
+        monkeypatch.setattr(WaveletTree, name, refuse)
+    selects = []
+    real = WaveletTree.select
+    monkeypatch.setattr(WaveletTree, "select", lambda wt, c, r: selects.append(c) or real(wt, c, r))
+    for code, tables, (data, nbits), lens in streams:
+        decoders = [(code.t, code.decode)] + [
+            (tb.t, functools.partial(code.decode_fast, tb)) for tb in tables]
+        for t, decode in decoders:
+            selects.clear()
+            r = BitReader(data, nbits)
+            assert [decode(r) for _ in lens] == list(zip(range(1, code.sigma + 1), lens))
+            assert r.remaining == 0
+            assert selects == [l for l in lens if l > t]
 
 
 def test_decode_matches_per_bit_descent_random_codes(rng):
