@@ -10,7 +10,8 @@ of the cutoff runs:
 
   B  marker bitvector over the alphabet (1 = shallow leaf or leftmost
      leaf of a subtree rooted at the cutoff depth),
-  P  the cutoff-bit prefix of each marked character's item, by rank1(B),
+  P  the cutoff-bit prefix of each marked character's item, P[k] for
+     the mark k = rank1(B, i) - 1 of character i,
   A  dispatch table indexed by the first `cutoff` bits of the stream: the
      (character, length) of a shallow leaf, or, for a balanced subtree of
      r leaves and height h = ceil(lg r), the run entry (leftmost character,
@@ -18,6 +19,10 @@ of the cutoff runs:
      is an O(1) function of the run's start and the next entry's, since a
      run sits at one prefix p and A[p + 1] starts with the character after
      it, so they add no accounted bits.
+
+encode finds a character's mark from B's held counts with no Bitvector
+call, and reads per-mark lists built with the code (see
+CompactAlphabeticCode); decode reads A alone.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 from .bits import BitReader
 from .codewords import MAX_CODEWORD_BITS, int_list, parent_depths
 from .errors import KraftViolation
-from .succinct import Bitvector
+from .succinct import _INCL8, Bitvector
 
 
 def canonical_codewords(depths) -> list[tuple[int, int]]:
@@ -316,8 +321,11 @@ class CompactAlphabeticCode:
     where the next A entry starts, so the queries never look past A[p].
     sigma = 1 is the one-leaf tree: B = "1", P = [0], A = [(1, 0)].
 
-    encode is one B.rank1, one P read and one A read; decode is one A read.
-    Neither selects on B; the rest is arithmetic on the run entry.
+    encode reads mark k = rank1(B, i) - 1 inline, from B's held per-byte
+    count and one _INCL8 lookup, then the prebuilt codeword _shallow[k] of
+    a shallow leaf, or a run's entry _marks[k], the very tuple A[P[k]], and
+    P[k]; decode is one A read. Neither calls a Bitvector query; the rest
+    is arithmetic on the run entry.
     """
 
     def __init__(self, profile: DepthProfile):
@@ -355,16 +363,24 @@ class CompactAlphabeticCode:
         self.B = Bitvector(bbits)
         self.P = P
         self.A = A
+        # per mark k: A[P[k]] itself, and a shallow leaf's codeword (None
+        # for a run), each an O(1) function of P[k] and A[P[k]]
+        self._bdata, self._bones = self.B._bytes, self.B._ranks
+        self._marks = [A[p] for p in P]
+        self._shallow = [(p >> (cutoff - e[1]), e[1]) if len(e) == 2 else None
+                         for p, e in zip(P, self._marks)]
         self._arrays = None
 
     def encode(self, i: int) -> tuple[int, int]:
         if not 1 <= i <= self.sigma:
             raise IndexError(f"character out of range: {i}")
-        p = self.P[self.B.rank1(i) - 1]
-        e = self.A[p]
-        if len(e) == 2:  # a shallow leaf, so e[0] == i
-            return (p >> (self.cutoff - e[1]), e[1])
-        c, deep, h, shift = e
+        j = i - 1
+        k = self._bones[j >> 3] + _INCL8[self._bdata[j >> 3] << 3 | (j & 7)]  # rank1(B, i) - 1
+        cw = self._shallow[k]
+        if cw is not None:  # a shallow leaf, so mark k is i
+            return cw
+        c, deep, h, shift = self._marks[k]
+        p = self.P[k]
         off = i - c
         if off < deep:  # the run's first codeword is p << h, cutoff + h bits long
             return ((p << h) + off, self.cutoff + h)
@@ -395,8 +411,13 @@ class CompactAlphabeticCode:
         prefix per marked character. A: one character or subtree root, a
         length and a kind bit per dispatch prefix; a run entry's other
         fields follow from its root and the next entry's, as Bitvector's
-        held per-byte counts follow from its data. sigma = 1 is accounted
-        as one byte.
+        held per-byte counts follow from its data. encode's per-mark lists
+        count nothing more, each entry being an O(1) function of P[k] and
+        A[P[k]]. They hold two list slots per mark and one codeword tuple
+        per shallow leaf: on the seed-1 zipf(1.0) corpora at sigma 4096
+        and 65536 (CPython 3.11, 64-bit), the code holds 10,608 and 78,152
+        more bytes for them, 9.9% and 5.0% over the rest.
+        sigma = 1 is accounted as one byte.
         """
         if self.sigma == 1:
             return {"B": 8, "P": 0, "A": 0}

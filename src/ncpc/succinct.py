@@ -32,6 +32,9 @@ _SEL0 = _SEL8[::-1]
 # bit o of b; one lookup is a rank step and a bit read of access_rank
 _RANK8 = [(b & ((1 << o) - 1)).bit_count() << 1 | (b >> o & 1)
           for b in range(256) for o in range(8)]
+# _INCL8[b << 3 | o]: the 1-bits of byte b at bits 0..o, minus one; added
+# to the ones before the byte it is the 0-based rank of a 1 at bit o
+_INCL8 = [(b & ((2 << o) - 1)).bit_count() - 1 for b in range(256) for o in range(8)]
 
 
 def _as_bit_array(bits) -> np.ndarray:

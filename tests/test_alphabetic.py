@@ -188,6 +188,22 @@ def test_B_S_A_match_brute_force_oracle(rng):
         assert code.A == A
 
 
+def test_per_mark_lists_are_exact(rng):
+    """encode's per-mark lists, by rank k of the mark: _marks[k] is the very
+    A entry decode reads, and _shallow[k] a shallow leaf's codeword or None."""
+    sigmas = [2, 3, 600] + rng.integers(2, 601, 40).tolist()
+    codes = [build_alphabetic_code(rng.integers(1, 1000, s).tolist()) for s in sigmas]
+    codes.append(build_alphabetic_code(gen_zipf(200_000, 4096, 1.0, 1).smoothed_freqs()))
+    for code in codes:
+        assert len(code._marks) == len(code._shallow) == len(code.P) == code.B.ones
+        for k, p in enumerate(code.P):
+            e = code._marks[k]
+            assert e is code.A[p]
+            want = (p >> (code.cutoff - e[1]), e[1]) if len(e) == 2 else None
+            assert code._shallow[k] == want, (code.sigma, k)
+    assert compile_code(DepthProfile((0,)), 1)._shallow == [(0, 0)]
+
+
 def test_compile_rejects_unbalanced_subtree():
     # depths realizable but the cutoff-depth subtree is a vine, not balanced
     prof = DepthProfile((1, 2, 4, 4, 3))
@@ -278,6 +294,27 @@ def test_queries_never_select_on_B(monkeypatch, rng):
         assert [code.decode(r) for _ in want] == [(i, l) for i, (_, l) in enumerate(want, 1)]
     # the last, geometric code is as tall as its cap and has runs below the cutoff
     assert max(code.depths) == code.height_cap and code.B.ones < code.sigma
+
+
+def test_queries_make_no_bitvector_call(monkeypatch, rng):
+    """encode reads B's held bytes and counts inline and decode reads only A,
+    so neither calls a Bitvector query. sigma 8, 9 and 16 put characters 8,
+    9 and sigma on B's byte boundaries."""
+    weights = [rng.integers(1, 1000, s).tolist() for s in (1, 2, 7, 600, 8, 9, 16)]
+    weights.append(gen_zipf(200_000, 4096, 1.0, 1).smoothed_freqs())
+    weights.append([1 << (40 - k) for k in range(40)])  # geometric
+    codes = [build_alphabetic_code(w) for w in weights]
+
+    def refuse(*_):
+        raise AssertionError("Bitvector query")
+    for name in ("rank1", "access", "select1", "select0"):
+        monkeypatch.setattr(Bitvector, name, refuse)
+    for code in codes:
+        vals, lens = code.codeword_arrays()
+        want = list(zip(vals.tolist(), lens.tolist()))
+        assert [code.encode(i) for i in range(1, code.sigma + 1)] == want
+        r = BitReader(*pack_bits(vals, lens))
+        assert [code.decode(r) for _ in want] == [(i, l) for i, (_, l) in enumerate(want, 1)]
 
 
 def test_codec_agrees_with_explicit_tree_reference(rng):

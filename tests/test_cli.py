@@ -508,3 +508,30 @@ def test_selftest_checks_every_descent_stop(monkeypatch, capsys):
     monkeypatch.setattr(ncpc.cli, "RevCanonCode", stops_short_at_depth_5)
     assert run(["selftest"]) == EXIT_SELFTEST
     assert "FAIL wmm-roundtrip" in capsys.readouterr().out
+
+
+def test_selftest_checks_every_shallow_codeword(monkeypatch, capsys):
+    """A prebuilt shallow codeword that is its neighbour's fails the selftest:
+    encoding every character of the sigma = 64 zipf code reads every shallow
+    leaf's entry. Giving mark 1 (character 2) mark 2's codeword misencodes
+    character 2 and no other."""
+    import ncpc.cli
+    from ncpc.alphabetic import build_alphabetic_code
+
+    def swapped_shallow(freqs):
+        code = build_alphabetic_code(freqs)
+        if code.sigma == 64 and None not in code._shallow[1:3]:
+            code._shallow[1] = code._shallow[2]
+        return code
+
+    code = swapped_shallow([4096 // c for c in range(1, 65)])
+    assert code.B.access(2) == 1 and code._marks[1] == (2, code.depths[1])
+    vals, lens = code.codeword_arrays()
+    want = list(zip(vals.tolist(), lens.tolist()))
+    assert [c for c in range(1, 65) if code.encode(c) != want[c - 1]] == [2]
+
+    monkeypatch.setattr(ncpc.cli, "build_alphabetic_code", swapped_shallow)
+    assert run(["selftest"]) == EXIT_SELFTEST
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL alpha-roundtrip: AssertionError('encode(2)')"]
