@@ -333,14 +333,20 @@ def _selftest_checks():
     rng = np.random.default_rng(7)
     weights = rng.integers(1, 50, 64).tolist()
     msg = rng.integers(1, 65, 500).tolist()
+    # the weights' codes have no shallow leaf, whose codeword encode reads
+    # prebuilt: all runs below alpha's cutoff, no wmm depth <= t = 3; the
+    # zipf weights' codes have some (wmm depths 2 and 3)
+    zipf = [4096 // c for c in range(1, 65)]
 
-    def wmm():
-        return RevCanonCode(huffman_lengths(weights))
+    def wmm(w=weights):
+        return RevCanonCode(huffman_lengths(w))
+
+    def wmm_roundtrips():
+        for w in (weights, zipf):
+            _check_wmm(wmm(w), msg)
 
     def alpha_roundtrips():
-        # the weights' code is all runs below its cutoff; zipf weights put
-        # shallow leaves, whose codewords encode reads prebuilt, above them
-        for w in (weights, [4096 // c for c in range(1, 65)]):
+        for w in (weights, zipf):
             _check_roundtrips(build_alphabetic_code(w), msg)
 
     def container_roundtrip():
@@ -363,7 +369,7 @@ def _selftest_checks():
 
     return [
         ("wmm-five-char", lambda: _check_wmm(RevCanonCode([1, 2, 3, 4, 4]), [4, 1, 5])),
-        ("wmm-roundtrip", lambda: _check_wmm(wmm(), msg)),
+        ("wmm-roundtrip", wmm_roundtrips),
         ("alpha-roundtrip", alpha_roundtrips),
         ("table-roundtrip", lambda: _check_roundtrips(TableCode.from_code(wmm()), msg)),
         ("container-roundtrip", container_roundtrip),

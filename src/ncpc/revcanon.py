@@ -9,15 +9,16 @@ implicit code tree from leaf to root and decoding from root to leaf,
 using only rank arithmetic. Both directions share a table over the first
 t = ceil(ceil(lg sigma) / 2) bits. Decoding starts from the root table,
 which answers codewords of at most t bits outright and gives the label
-index of the node at depth t for the rest; encoding ends in its inverse,
-the label table, which gives the first t bits of a codeword from the
-rank its ascent reaches at depth t, so the ascent climbs only l - t
-levels. Encoding runs D's level steps itself, and the level where a
-character's depth leaves D's matrix hands it that depth's label offset
-and ascent steps, so an encode makes no wavelet query. Decoding carries
-the label index of its node down to the depth where its codeword ends,
-and names the character with one select on D. A DescentTable is the
-same root table at a width the caller chooses.
+index of the node at depth t for the rest; encoding answers the same
+codewords from the table's leaves inverted, so neither reads D for them,
+and ends a longer one in the label table, the root table's inverse,
+which gives its first t bits from the rank its ascent reaches at depth
+t, so the ascent climbs only l - t levels. Encoding runs D's level steps
+itself, and the level where a character's depth leaves D's matrix hands
+it that depth's ascent steps, so an encode makes no wavelet query.
+Decoding carries the label index of its node down to the depth where its
+codeword ends, and names the character with one select on D. A
+DescentTable is the same root table at a width the caller chooses.
 
 Rank conventions at depth d (1-based ranks over reversed path labels):
 leaves occupy ranks 1..leaves[d], internal nodes the rest; a node is a
@@ -60,13 +61,14 @@ class RevCanonCode:
     has label[e - 1] == w. Both cost O(sqrt(sigma) log sigma) bits, which
     size_breakdown() counts.
 
-    encode runs D's level step itself over D's own per-level tuples, whose
-    leaf entries it maps from D's codeword of a depth l to (l, label
-    offset, ascent). The offset is first[l] - start for l <= t and -start
-    above it, start being the block where depth l begins in its level;
-    the ascent is (half[d], leaves[d-1], 1 << (l - d)) for d = l down to
-    t + 1, the last step adding first[t]. Each is a function of the
-    counted leaf counts and of D, so the entries add no accounted bits.
+    encode answers a character of depth d <= t from _shallow, the root
+    table's leaves inverted to codewords (label[first[d] + r - 1], d).
+    Any other character runs D's level step itself over D's own per-level
+    tuples, whose leaf entries it maps from D's codeword of a depth l > t
+    to (l, -start, ascent), start being the block where depth l begins in
+    its level; the ascent is (half[d], leaves[d-1], 1 << (l - d)) for d =
+    l down to t + 1, the last step adding first[t]. Each is a function of
+    the counted leaf counts and of D, so the entries add no accounted bits.
     Calling D.access_rank instead costs a method frame, a range check and
     a result tuple, about 11% of an encode on the benchmark's zipf corpora.
 
@@ -111,23 +113,25 @@ class RevCanonCode:
         self._descent = tuple((self._half[d], self._first[d + 1], 1 << (L - d), d, self._first[d])
                               for d in range(1, L + 1))
         self._below_root = self._descent[self.t:]   # decode's, sliced once, not per call
-        # encode's walk: D's levels, each leaf entry (depth l, block start) made l's entry
+        # encode's codewords of at most t bits: the root table's leaves, inverted
+        self._shallow = {e[0]: (w >> (self.t - e[1]), e[1])
+                         for w, e in enumerate(self.root) if type(e) is tuple}
+        # encode's walk: D's levels, each leaf entry (depth l > t, block start) made l's entry
         walk = self.D._access_walk if self.D is not None else ()
         self._walk = tuple((data, ranks, zeros, ended,
-                            {v: self._encode_entry(l, start) for v, (l, start) in leaf.items()})
+                            {v: self._encode_entry(l, start)
+                             for v, (l, start) in leaf.items() if l > self.t})
                            for data, ranks, zeros, ended, leaf in walk)
-        # a matrix of height 0 (and sigma = 1) holds one depth, L, from rank 1
-        self._one_depth = self._encode_entry(L, 0)
+        # a matrix of height 0 (and sigma = 1) holds one depth, L, from rank 1;
+        # none when L <= t (sigma = 1 and [1, 1]), whose codewords are all shallow
+        self._one_depth = self._encode_entry(L, 0) if L > self.t else None
 
     def _encode_entry(self, l: int, start: int) -> tuple[int, int, tuple]:
-        """(l, label offset, ascent) of depth l, whose block in its level of
-        D starts at `start`: the character at 0-based position q there has
-        0-based rank q - start among depth l, so for l <= t its label is at
-        q + offset, and for l > t the ascent's last step lands on the label
-        index of its node at depth t."""
+        """(l, label offset, ascent) of depth l > t, whose block in its level
+        of D starts at `start`: the character at 0-based position q there
+        has 0-based rank q - start among depth l, and the ascent's last step
+        lands on the label index of its node at depth t."""
         t = self.t
-        if l <= t:
-            return (l, self._first[l] - start, ())
         ascent = [(self._half[d], self.leaves[d - 1], 1 << (l - d)) for d in range(l, t, -1)]
         h, up, bit = ascent[-1]
         ascent[-1] = (h, up + self._first[t], bit)
@@ -189,18 +193,21 @@ class RevCanonCode:
     # -- codec ---------------------------------------------------------------
 
     def encode(self, i: int) -> tuple[int, int]:
-        """Codeword (value, length) of character i: its first t bits from
-        the label table, the rest by leaf-to-root ascent.
+        """Codeword (value, length) of character i: a codeword of at most t
+        bits from _shallow, else its first t bits from the label table and
+        the rest by leaf-to-root ascent.
 
-        One walk down D's levels, each step access_rank's rank step inline,
-        ends at the level where i's depth l leaves the matrix and reads that
-        depth's entry: its offset into the label table and its ascent. A
-        codeword of at most t bits is the label of its leaf; a longer one
-        takes one bit per ascent step from the low end, parent_rank inlined,
-        and its first t bits from the label of the node reached at depth t.
+        A longer codeword takes one walk down D's levels, each step
+        access_rank's rank step inline, that ends at the level where i's
+        depth l > t leaves the matrix and reads that depth's entry: its
+        offset into the label table and its ascent. The ascent takes one
+        bit per step from the low end, parent_rank inlined, and the first
+        t bits are the label of the node it reaches at depth t.
         """
         if not 1 <= i <= self.sigma:
             raise IndexError(f"character out of range: {i}")
+        if i in self._shallow:
+            return self._shallow[i]
         p = i - 1           # 0-based position among the entries at this level
         v = 0               # D's codeword bits read so far
         for data, ranks, zeros, ended, leaf in self._walk:
@@ -220,8 +227,6 @@ class RevCanonCode:
         else:
             l, r, ascent = self._one_depth
             r += p
-        if not ascent:
-            return (self.label[r], l)
         v = 0
         for h, up, bit in ascent:
             if r >= h:
@@ -291,16 +296,21 @@ class RevCanonCode:
         character or a miss's label index first[t] + r, at most
         first[t] + nodes[t] <= 2^t <= sigma (ceil(lg(sigma+1)) bits).
         label: one t-bit label per node that starts a root window, at most
-        2^t entries; its offsets first[d] are sums of leaf counts. encode's
-        walk (a function of the leaf counts and of D, sharing D's level
-        lists) and decode's descent entries (functions of the leaf counts)
-        count nothing more.
+        2^t entries; its offsets first[d] are sums of leaf counts. shallow:
+        the m = first[t+1] characters of depth at most t, whose leaves are
+        label's first m entries, in label order at ceil(lg(sigma+1)) bits;
+        each entry's codeword and depth follow from its label index, and
+        encode's _shallow is the held index over them, bits bought for
+        encode speed. encode's walk (a function of the leaf counts and of D,
+        sharing D's level lists) and decode's descent entries (functions
+        of the leaf counts) count nothing more.
         """
         count = self.sigma.bit_length()
         return {"D": self.D.size_bits() if self.D is not None else 0,
                 "leaves": (self.L + 1) * count,
                 "root": len(self.root) * ((self.t + 1).bit_length() + count),
-                "label": len(self.label) * self.t}
+                "label": len(self.label) * self.t,
+                "shallow": len(self._shallow) * count}
 
     def model_size_bits(self) -> int:
         return sum(self.size_breakdown().values())

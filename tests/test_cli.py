@@ -535,3 +535,30 @@ def test_selftest_checks_every_shallow_codeword(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL alpha-roundtrip: AssertionError('encode(2)')"]
+
+
+def test_selftest_checks_every_shallow_wmm_codeword(monkeypatch, capsys):
+    """Two swapped shallow wmm codewords fail the selftest: encoding every
+    character of the sigma = 64 zipf code reads every entry of its shallow
+    table. Swapping the entries of characters 1 and 2, its depth-2 and
+    depth-3 characters, misencodes those two and no other."""
+    import ncpc.cli
+    from ncpc.revcanon import RevCanonCode, huffman_lengths
+
+    def swapped_shallow(lengths):
+        code = RevCanonCode(lengths)
+        if code.sigma == 64 and len(code._shallow) >= 2:
+            code._shallow[1], code._shallow[2] = code._shallow[2], code._shallow[1]
+        return code
+
+    code = swapped_shallow(huffman_lengths([4096 // c for c in range(1, 65)]))
+    assert sorted(code._shallow) == [1, 2] and code.depths[:2] == (2, 3)
+    vals, lens = code.codeword_arrays()
+    want = list(zip(vals.tolist(), lens.tolist()))
+    assert [c for c in range(1, 65) if code.encode(c) != want[c - 1]] == [1, 2]
+
+    monkeypatch.setattr(ncpc.cli, "RevCanonCode", swapped_shallow)
+    assert run(["selftest"]) == EXIT_SELFTEST
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL wmm-roundtrip: AssertionError('encode(1)')"]

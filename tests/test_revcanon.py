@@ -370,6 +370,33 @@ def test_encode_makes_no_wavelet_query(monkeypatch):
                 == list(zip(vals.tolist(), lens.tolist())))
 
 
+def test_shallow_table_answers_exactly_the_codewords_of_at_most_t_bits(rng):
+    """_shallow maps the characters of depth <= t, and no others, to their
+    codewords, and encode answers them from it alone: with the walk and the
+    height-0 entry gone, each still encodes and each deeper character
+    raises. It is counted as m = first[t+1] characters of ceil(lg(sigma+1))
+    bits."""
+    codes = [RevCanonCode(huffman_lengths(gen_zipf(200_000, 4096, 1.0, 1).smoothed_freqs()))]
+    codes += [RevCanonCode(lengths) for lengths in (list(range(1, 65)) + [64], [5] * 32,
+                                                     [12] * 4096, [0], [1, 1], FIVE)]
+    for sigma in (2, 3, 5, 17, 256, 4096):
+        for weights in tie_heavy_weight_cases(rng, 3, sigma_max=sigma, sigma_min=sigma):
+            codes.append(RevCanonCode(huffman_lengths(weights)))
+    for code in codes:
+        vals, lens = (a.tolist() for a in code.codeword_arrays())
+        shallow = [i for i, l in enumerate(lens, 1) if l <= code.t]
+        assert sorted(code._shallow) == shallow
+        assert all(code._shallow[i] == (vals[i - 1], lens[i - 1]) for i in shallow)
+        assert code.size_breakdown()["shallow"] == len(shallow) * int(np.ceil(np.log2(code.sigma + 1)))
+        code._walk = code._one_depth = None
+        for i, (v, l) in enumerate(zip(vals, lens), 1):
+            if l <= code.t:
+                assert code.encode(i) == (v, l)
+            else:
+                with pytest.raises(TypeError):
+                    code.encode(i)
+
+
 def test_decode_makes_one_select_per_root_miss(monkeypatch):
     """decode's only wavelet query is one D.select per codeword longer than
     the root window: with access_rank, access and rank refusing, decode and
@@ -617,8 +644,9 @@ def test_model_bits_pinned_on_zipf_4096():
     from ncpc.alphabetic import build_alphabetic_code
     freqs = gen_zipf(200000, 4096, 1.0, seed=1).smoothed_freqs()
     code = RevCanonCode(huffman_lengths(freqs), shape="huffman")
-    assert code.size_breakdown() == {"D": 17746, "leaves": 247, "root": 1024, "label": 312}
-    assert code.model_size_bits() == 19329
+    assert code.size_breakdown() == {"D": 17746, "leaves": 247, "root": 1024, "label": 312,
+                                     "shallow": 117}
+    assert code.model_size_bits() == 19446
     alpha = build_alphabetic_code(freqs)
     assert alpha.size_breakdown() == {"B": 5696, "P": 2709, "A": 9728}
     assert alpha.model_size_bits() == 18133
