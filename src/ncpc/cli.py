@@ -334,8 +334,9 @@ def _selftest_checks():
     weights = rng.integers(1, 50, 64).tolist()
     msg = rng.integers(1, 65, 500).tolist()
     # the weights' codes have no shallow leaf, whose codeword encode reads
-    # prebuilt: all runs below alpha's cutoff, no wmm depth <= t = 3; the
-    # zipf weights' codes have some (wmm depths 2 and 3)
+    # prebuilt: all runs below alpha's cutoff, no wmm depth <= t2 = 4; the
+    # zipf weights' codes have some (wmm depths 2..5, t = 3 and t2 = 5, so
+    # decode names the characters of depths 4 and 5 from chars)
     zipf = [4096 // c for c in range(1, 65)]
 
     def wmm(w=weights):

@@ -7,18 +7,20 @@ the depth sequence D (one codeword length per character) plus per-depth
 leaf counts, and codewords are never materialized: encoding walks the
 implicit code tree from leaf to root and decoding from root to leaf,
 using only rank arithmetic. Both directions share a table over the first
-t = ceil(ceil(lg sigma) / 2) bits. Decoding starts from the root table,
-which answers codewords of at most t bits outright and gives the label
-index of the node at depth t for the rest; encoding answers the same
-codewords from the table's leaves inverted, so neither reads D for them,
-and ends a longer one in the label table, the root table's inverse,
-which gives its first t bits from the rank its ascent reaches at depth
-t, so the ascent climbs only l - t levels. Encoding runs D's level steps
-itself, and the level where a character's depth leaves D's matrix hands
-it that depth's ascent steps, so an encode makes no wavelet query.
-Decoding carries the label index of its node down to the depth where its
-codeword ends, and names the character with one select on D. A
-DescentTable is the same root table at a width the caller chooses.
+t = ceil(ceil(lg sigma) / 2) bits and a list of the characters of depth
+at most a second cut t2 >= t in label order (depth, then character), at
+most 2^t of them. Decoding starts from the root table, which answers
+codewords of at most t bits outright and gives the label index of the
+node at depth t for the rest, and carries that index down to the depth
+where the codeword ends: a leaf of depth at most t2 is named by one list
+read, a deeper one by one select on D. Encoding answers a codeword of at
+most t2 bits from a dict over the listed characters, and ends a longer
+one in the label table, the root table's inverse, which gives its first
+t bits from the rank its ascent reaches at depth t, so the ascent climbs
+only l - t levels. Encoding runs D's level steps itself, and the level
+where a character's depth leaves D's matrix hands it that depth's ascent
+steps, so an encode makes no wavelet query. A DescentTable is the same
+root table at a width the caller chooses.
 
 Rank conventions at depth d (1-based ranks over reversed path labels):
 leaves occupy ranks 1..leaves[d], internal nodes the rest; a node is a
@@ -41,51 +43,61 @@ from .succinct import _RANK8, WaveletTree
 
 
 class RevCanonCode:
-    """Code model: depth sequence D, per-depth leaf counts and a root table.
+    """Code model: depth sequence D, per-depth leaf counts, a root table and
+    the characters of depth at most t2 in label order.
 
-    D is stored in a wavelet matrix Huffman-shaped by an equal mix of two
-    distributions over the depths: how many characters have each depth,
-    and how much of the code's probability they hold. Depth d, held by
-    n_d characters, weighs n_d * (2^L + sigma * 2^(L-d)): both halves sum
-    to sigma * 2^L by the Kraft equality, so the mix has no free constant,
-    and the weights are a function of D alone. shape="huffman" names that
-    shape, the only one.
+    t = ceil(ceil(lg sigma) / 2) <= L, and t2 is the largest depth <= L
+    with first[t2+1] <= 2^t, first[d] being the number of leaves above
+    depth d: the list `chars` of the first first[t2+1] characters in label
+    order holds at most 2^t of them, O(sqrt(sigma) log sigma) bits like the
+    root table. The leaves of depth <= t number at most 2^t, so t2 >= t.
+    chars[first[d] + r - 1] is the character of rank r among depth d, the
+    one D.select(d, r) finds.
 
-    root has one entry per t-bit window, t = ceil(ceil(lg sigma) / 2) <= L:
-    (c, d) when the window starts with character c's codeword of length
-    d <= t, else first[t] + r for the rank r of the window's internal node
-    at depth t. label inverts it: each window starts with exactly one node,
-    a leaf of depth d <= t or an internal node at depth t, and the node of
-    rank r at depth d has its d-bit label at label[first[d] + r - 1],
-    first[d] being the number of leaves above depth d; so a miss entry e
-    has label[e - 1] == w. Both cost O(sqrt(sigma) log sigma) bits, which
+    D is stored in a wavelet matrix Huffman-shaped by the queries that walk
+    it: encode walks it, and decode selects on it, only for characters of
+    depth > t2. Depth d, held by n_d characters, weighs n_d * 2^L for
+    d <= t2, its count alone, and n_d * (2^L + sigma * 2^(L-d)) deeper, an
+    equal mix of its count and of the code's probability it holds: both
+    halves sum to sigma * 2^L by the Kraft equality, so the mix has no free
+    constant, and the weights are a function of D alone. shape="huffman"
+    names that shape, the only one.
+
+    root has one entry per t-bit window: (c, d) when the window starts with
+    character c's codeword of length d <= t, else first[t] + r for the rank
+    r of the window's internal node at depth t. label inverts it: each
+    window starts with exactly one node, a leaf of depth d <= t or an
+    internal node at depth t, and the node of rank r at depth d has its
+    d-bit label at label[first[d] + r - 1]; so a miss entry e has
+    label[e - 1] == w. Both cost O(sqrt(sigma) log sigma) bits, which
     size_breakdown() counts.
 
-    encode answers a character of depth d <= t from _shallow, the root
-    table's leaves inverted to codewords (label[first[d] + r - 1], d).
-    Any other character runs D's level step itself over D's own per-level
-    tuples, whose leaf entries it maps from D's codeword of a depth l > t
-    to (l, -start, ascent), start being the block where depth l begins in
-    its level; the ascent is (half[d], leaves[d-1], 1 << (l - d)) for d =
-    l down to t + 1, the last step adding first[t]. Each is a function of
-    the counted leaf counts and of D, so the entries add no accounted bits.
-    Calling D.access_rank instead costs a method frame, a range check and
-    a result tuple, about 11% of an encode on the benchmark's zipf corpora.
+    encode answers a character of depth d <= t2 from _shallow, the held
+    index over chars: its codeword is its label for d <= t, and its ascent
+    from depth d to its node's label at depth t deeper. Any other character
+    runs D's level step itself over D's own per-level tuples, whose leaf
+    entries it maps from D's codeword of a depth l > t2 to (l, -start,
+    ascent), start being the block where depth l begins in its level; the
+    ascent is (half[d], leaves[d-1], 1 << (l - d)) for d = l down to t + 1,
+    the last step adding first[t]. Each is a function of the counted leaf
+    counts and of D, so the entries add no accounted bits. Calling
+    D.access_rank instead costs a method frame, a range check and a result
+    tuple, about 11% of an encode on the benchmark's zipf corpora.
 
     decode descends on the label index R = first[d] + r of the node of
     rank r at depth d, over one entry per depth d = 1..L: (half[d],
     first[d+1], 1 << (L - d), d, first[d]). A step down tests bit d of the
     peek with the mask and adds half[d] on a 1-bit, since first absorbs
     the leaves[d-1] that child_rank subtracts, and the node is a leaf iff
-    R <= first[d+1]; its rank among depth d's leaves is R - first[d]. The
-    entries are functions of the counted leaf counts, so they add no
-    accounted bits.
+    R <= first[d+1]; its rank among depth d's leaves is R - first[d], and
+    it is listed iff R <= first[t2+1]. The entries are functions of the
+    counted leaf counts, so they add no accounted bits.
     """
 
     def __init__(self, lengths, shape: str = "huffman") -> None:
         if shape != "huffman":
             raise ValueError(f"unknown shape: {shape}")
-        lengths = [int(x) for x in lengths]
+        lengths = list(map(int, lengths))
         sigma = len(lengths)
         if sigma == 0:
             raise ValueError("empty alphabet")
@@ -97,34 +109,48 @@ class RevCanonCode:
         self.depths = tuple(lengths)
         self.leaves, self.nodes = depth_tables(lengths)
         self._half = [m // 2 for m in self.nodes]
-        self._first = list(accumulate(self.leaves, initial=0))  # leaves above each depth
+        self._first = first = list(accumulate(self.leaves, initial=0))  # leaves above each depth
+
+        # t <= ceil(lg sigma) <= L, so every window fits in one peek
+        self.t = t = ((sigma - 1).bit_length() + 1) // 2
+        # the leaves of depth <= t number at most 2^t, so t2 >= t
+        self.t2 = t2 = max(d for d in range(L + 1) if first[d + 1] <= 1 << t)
 
         # Python ints: with long codewords the weights outgrow int64
-        weights = [n * ((1 << L) + (sigma << (L - d)))
+        weights = [n << L if d <= t2 else n * ((1 << L) + (sigma << (L - d)))
                    for d, n in enumerate(self.leaves[1:], 1)]
         self.D = WaveletTree(lengths, L, weights) if sigma > 1 else None
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
-        # t <= ceil(lg sigma) <= L, so every window fits in one peek
-        self.t = ((sigma - 1).bit_length() + 1) // 2
-        self.root, self.label = self._root_table(self.t)
+        # label order: the character of rank r among depth d at first[d] + r - 1
+        self.chars = [self.D.select(d, r) for d in range(1, t2 + 1)
+                      for r in range(1, self.leaves[d] + 1)] if self.D is not None else [1]
+        self._listed = first[t2 + 1]
+        self.root, self.label = self._root_table(t)
         # decode's descent: per depth d = 1..L, (half[d], first[d+1], the
         # mask of bit d in an L-bit peek, d, first[d])
-        self._descent = tuple((self._half[d], self._first[d + 1], 1 << (L - d), d, self._first[d])
+        self._descent = tuple((self._half[d], first[d + 1], 1 << (L - d), d, first[d])
                               for d in range(1, L + 1))
-        self._below_root = self._descent[self.t:]   # decode's, sliced once, not per call
-        # encode's codewords of at most t bits: the root table's leaves, inverted
-        self._shallow = {e[0]: (w >> (self.t - e[1]), e[1])
-                         for w, e in enumerate(self.root) if type(e) is tuple}
-        # encode's walk: D's levels, each leaf entry (depth l > t, block start) made l's entry
+        self._below_root = self._descent[t:]   # decode's, sliced once, not per call
+        # encode's codewords of at most t2 bits: a leaf of depth d <= t has
+        # its label, a deeper one climbs to its node's label at depth t
+        self._shallow = {}
+        for d in range(t + 1):
+            for k in range(first[d], first[d + 1]):
+                self._shallow[self.chars[k]] = (self.label[k], d)
+        for d in range(t + 1, t2 + 1):
+            _, _, ascent = self._encode_entry(d, 0)
+            for q in range(self.leaves[d]):
+                self._shallow[self.chars[first[d] + q]] = self._ascend(d, q, ascent)
+        # encode's walk: D's levels, each leaf entry (depth l > t2, block start) made l's entry
         walk = self.D._access_walk if self.D is not None else ()
         self._walk = tuple((data, ranks, zeros, ended,
                             {v: self._encode_entry(l, start)
-                             for v, (l, start) in leaf.items() if l > self.t})
+                             for v, (l, start) in leaf.items() if l > t2})
                            for data, ranks, zeros, ended, leaf in walk)
         # a matrix of height 0 (and sigma = 1) holds one depth, L, from rank 1;
-        # none when L <= t (sigma = 1 and [1, 1]), whose codewords are all shallow
-        self._one_depth = self._encode_entry(L, 0) if L > self.t else None
+        # none when L <= t2 (sigma = 1 and [1, 1]), whose codewords are all listed
+        self._one_depth = self._encode_entry(L, 0) if L > t2 else None
 
     def _encode_entry(self, l: int, start: int) -> tuple[int, int, tuple]:
         """(l, label offset, ascent) of depth l > t, whose block in its level
@@ -136,6 +162,18 @@ class RevCanonCode:
         h, up, bit = ascent[-1]
         ascent[-1] = (h, up + self._first[t], bit)
         return (l, -start, tuple(ascent))
+
+    def _ascend(self, l: int, r: int, ascent: tuple) -> tuple[int, int]:
+        """Codeword (value, l) of the leaf of 0-based rank r at depth l > t:
+        one bit per ascent step from the low end, parent_rank inlined, and
+        the first t bits the label of the node it reaches at depth t."""
+        v = 0
+        for h, up, bit in ascent:
+            if r >= h:
+                v |= bit
+                r -= h
+            r += up
+        return (v | self.label[r] << (l - self.t), l)
 
     def _root_table(self, t: int) -> tuple[list, list[int]]:
         """The root table over t <= L bits and its inverse label table.
@@ -161,7 +199,7 @@ class RevCanonCode:
             if r > leaves[d]:
                 root.append(first[t] + r)
             else:
-                c = self.D.select(d, r) if d else 1
+                c = self.chars[first[d] + r - 1] if d <= self.t2 else self.D.select(d, r)
                 root += [(c, d)] * (1 << (t - d))
         return root, label
 
@@ -193,16 +231,14 @@ class RevCanonCode:
     # -- codec ---------------------------------------------------------------
 
     def encode(self, i: int) -> tuple[int, int]:
-        """Codeword (value, length) of character i: a codeword of at most t
+        """Codeword (value, length) of character i: a codeword of at most t2
         bits from _shallow, else its first t bits from the label table and
         the rest by leaf-to-root ascent.
 
         A longer codeword takes one walk down D's levels, each step
         access_rank's rank step inline, that ends at the level where i's
-        depth l > t leaves the matrix and reads that depth's entry: its
-        offset into the label table and its ascent. The ascent takes one
-        bit per step from the low end, parent_rank inlined, and the first
-        t bits are the label of the node it reaches at depth t.
+        depth l > t2 leaves the matrix and reads that depth's entry: its
+        offset into the label table and its ascent (see _ascend).
         """
         if not 1 <= i <= self.sigma:
             raise IndexError(f"character out of range: {i}")
@@ -227,26 +263,20 @@ class RevCanonCode:
         else:
             l, r, ascent = self._one_depth
             r += p
-        v = 0
-        for h, up, bit in ascent:
-            if r >= h:
-                v |= bit
-                r -= h
-            r += up
-        return (v | self.label[r] << (l - self.t), l)
+        return self._ascend(l, r, ascent)
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         """(character, length) for the next codeword, by root-to-leaf descent.
 
         Peeks L <= 64 bits once. The root table answers from the first t of
-        them: a codeword of at most t bits is returned with no descent and
-        no select on D; otherwise its entry is the label index R of the
-        window's internal node at depth t, and the descent resumes below it,
-        one entry per depth, adding half[d] to R on a 1-bit until R falls
-        within depth d's leaves. One D.select(d, R - first[d]) names the
-        leaf's character, and decode skips the codeword. That select is
-        decode's only wavelet query; its level steps are folded when D is
-        built (see WaveletTree).
+        them: a codeword of at most t bits is returned with no descent;
+        otherwise its entry is the label index R of the window's internal
+        node at depth t, and the descent resumes below it, one entry per
+        depth, adding half[d] to R on a 1-bit until R falls within depth
+        d's leaves. A leaf of depth at most t2 is named by chars[R - 1],
+        a deeper one by one D.select(d, R - first[d]), and decode skips the
+        codeword. That select is decode's only wavelet query; its level
+        steps are folded when D is built (see WaveletTree).
         decode_fast takes the same walk through a DescentTable's root table.
         """
         return self._descend(reader, self.t, self.root, self._below_root)
@@ -270,7 +300,7 @@ class RevCanonCode:
                     break
             else:
                 raise InvalidCodeState("invalid code state")
-            c = self.D.select(d, e - above)
+            c = self.chars[e - 1] if e <= self._listed else self.D.select(d, e - above)
             reader.skip(d)      # a leaf at depth d used d bits
             return (c, d)
         reader.skip(e[1])
@@ -296,10 +326,11 @@ class RevCanonCode:
         character or a miss's label index first[t] + r, at most
         first[t] + nodes[t] <= 2^t <= sigma (ceil(lg(sigma+1)) bits).
         label: one t-bit label per node that starts a root window, at most
-        2^t entries; its offsets first[d] are sums of leaf counts. shallow:
-        the m = first[t+1] characters of depth at most t, whose leaves are
-        label's first m entries, in label order at ceil(lg(sigma+1)) bits;
-        each entry's codeword and depth follow from its label index, and
+        2^t entries; its offsets first[d] are sums of leaf counts. chars:
+        the first[t2+1] <= 2^t characters of depth at most t2 in label
+        order at ceil(lg(sigma+1)) bits; each entry's depth follows from
+        its index and the leaf counts, and its codeword from its label
+        index: label's entry for depth <= t, an ascent to depth t deeper.
         encode's _shallow is the held index over them, bits bought for
         encode speed. encode's walk (a function of the leaf counts and of D,
         sharing D's level lists) and decode's descent entries (functions
@@ -310,7 +341,7 @@ class RevCanonCode:
                 "leaves": (self.L + 1) * count,
                 "root": len(self.root) * ((self.t + 1).bit_length() + count),
                 "label": len(self.label) * self.t,
-                "shallow": len(self._shallow) * count}
+                "chars": len(self.chars) * count}
 
     def model_size_bits(self) -> int:
         return sum(self.size_breakdown().values())
@@ -319,8 +350,9 @@ class RevCanonCode:
 class DescentTable(NamedTuple):
     """A code's root table (see RevCanonCode) at a width t the caller chose;
     decode_fast descends from it over the code's descent entries for the
-    depths t+1..L, as decode does from the code's own. A miss entry is the
-    label index first[t] + r at this t."""
+    depths t+1..L, as decode does from the code's own, and names a leaf
+    from the code's chars or D as decode does. A miss entry is the label
+    index first[t] + r at this t."""
 
     t: int
     root: list

@@ -540,8 +540,9 @@ def test_selftest_checks_every_shallow_codeword(monkeypatch, capsys):
 def test_selftest_checks_every_shallow_wmm_codeword(monkeypatch, capsys):
     """Two swapped shallow wmm codewords fail the selftest: encoding every
     character of the sigma = 64 zipf code reads every entry of its shallow
-    table. Swapping the entries of characters 1 and 2, its depth-2 and
-    depth-3 characters, misencodes those two and no other."""
+    table, characters 1..8 of depths 2..5 <= t2. Swapping the entries of
+    characters 1 and 2, its depth-2 and depth-3 characters, misencodes
+    those two and no other."""
     import ncpc.cli
     from ncpc.revcanon import RevCanonCode, huffman_lengths
 
@@ -552,7 +553,7 @@ def test_selftest_checks_every_shallow_wmm_codeword(monkeypatch, capsys):
         return code
 
     code = swapped_shallow(huffman_lengths([4096 // c for c in range(1, 65)]))
-    assert sorted(code._shallow) == [1, 2] and code.depths[:2] == (2, 3)
+    assert sorted(code._shallow) == list(range(1, 9)) and code.depths[:9] == (2, 3, 4, 4, 5, 5, 5, 5, 6)
     vals, lens = code.codeword_arrays()
     want = list(zip(vals.tolist(), lens.tolist()))
     assert [c for c in range(1, 65) if code.encode(c) != want[c - 1]] == [1, 2]
@@ -562,3 +563,32 @@ def test_selftest_checks_every_shallow_wmm_codeword(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL wmm-roundtrip: AssertionError('encode(1)')"]
+
+
+def test_selftest_checks_every_listed_wmm_character(monkeypatch, capsys):
+    """Two swapped listed characters fail the selftest: decoding every
+    codeword of the sigma = 64 zipf code names each character of depth in
+    (t, t2] = (3, 5] from chars. Swapping chars' entries for characters 5
+    and 6, both of depth 5, misdecodes those two and no other."""
+    import ncpc.cli
+    from ncpc.bits import BitReader, pack_bits
+    from ncpc.revcanon import RevCanonCode, huffman_lengths
+
+    def swapped_chars(lengths):
+        code = RevCanonCode(lengths)
+        if code.sigma == 64 and len(code.chars) >= 6:
+            code.chars[4], code.chars[5] = code.chars[5], code.chars[4]
+        return code
+
+    code = swapped_chars(huffman_lengths([4096 // c for c in range(1, 65)]))
+    assert (code.t, code.t2) == (3, 5) and code.depths[4:6] == (5, 5)
+    vals, lens = code.codeword_arrays()
+    decoded = [code.decode(BitReader(*pack_bits([int(vals[c - 1])], [int(lens[c - 1])])))
+               for c in range(1, 65)]
+    assert [c for c in range(1, 65) if decoded[c - 1] != (c, lens[c - 1])] == [5, 6]
+
+    monkeypatch.setattr(ncpc.cli, "RevCanonCode", swapped_chars)
+    assert run(["selftest"]) == EXIT_SELFTEST
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL wmm-roundtrip: AssertionError('decode of codeword 5')"]

@@ -201,14 +201,17 @@ def test_sixty_four_bit_codewords_roundtrip():
 
 
 def test_D_is_shaped_by_counts_and_code_probabilities(rng):
-    """The matrix over D is the Huffman shape of n_d * (2^L + sigma * 2^(L-d))."""
+    """The matrix over D is the Huffman shape of n_d * 2^L for d <= t2, whose
+    characters no query walks D for, and n_d * (2^L + sigma * 2^(L-d)) deeper."""
     from ncpc.codewords import revcanon_codewords
     for lengths in (huffman_lengths(gen_zipf(50_000, 4096, 1.0, 3).smoothed_freqs()),
                     list(range(1, 65)) + [64], FIVE):
         code = RevCanonCode(lengths, shape="huffman")
-        L, sigma = code.L, code.sigma
+        L, sigma, t2 = code.L, code.sigma, code.t2
         present = sorted(set(lengths))
-        weights = [lengths.count(d) * (2**L + sigma * 2**(L - d)) for d in present]
+        assert min(present) <= t2 < max(present)
+        weights = [lengths.count(d) * (2**L if d <= t2 else 2**L + sigma * 2**(L - d))
+                   for d in present]
         vals, lens = revcanon_codewords(huffman_lengths(weights))
         assert {d: code.D._codes[d][:2] for d in present} == dict(
             zip(present, zip(vals.tolist(), lens.tolist())))
@@ -370,42 +373,96 @@ def test_encode_makes_no_wavelet_query(monkeypatch):
                 == list(zip(vals.tolist(), lens.tolist())))
 
 
-def test_shallow_table_answers_exactly_the_codewords_of_at_most_t_bits(rng):
-    """_shallow maps the characters of depth <= t, and no others, to their
+def benchmark_freqs(sigma: int, seed: int = 1) -> np.ndarray:
+    """The counts, lifted to 1, of the benchmark's seeded zipf(1.0) corpus of
+    200,000 records over `sigma` (ncpcbench/workloads.py's Run)."""
+    w = np.arange(1, sigma + 1, dtype=np.float64) ** -1.0
+    records = np.random.default_rng(seed).choice(sigma, size=200_000, p=w / w.sum())
+    return np.maximum(np.bincount(records), 1)
+
+
+def t2_rule(code) -> int:
+    """The largest depth d <= L whose leaves of depth <= d number at most 2^t."""
+    return max(d for d in range(code.L + 1) if sum(code.leaves[:d + 1]) <= 1 << code.t)
+
+
+def test_second_cut_t2_is_pinned():
+    """t2 by its rule on sigma = 1, [1, 1], FIVE, a height-0 matrix, the L = 64
+    chain and the benchmark's seed-1 corpora (point: t = 6, point-wide: t = 8)."""
+    cases = [([0], 0, 0), ([1, 1], 1, 1), (FIVE, 2, 3), ([12] * 4096, 6, 11),
+             (list(range(1, 65)) + [64], 4, 16),
+             (huffman_lengths(benchmark_freqs(4096)), 6, 8),
+             (huffman_lengths(benchmark_freqs(65536)), 8, 11)]
+    for lengths, t, t2 in cases:
+        code = RevCanonCode(lengths)
+        assert (code.t, code.t2) == (t, t2) == (code.t, t2_rule(code))
+        assert len(code.chars) == sum(code.leaves[:t2 + 1]) <= 1 << t
+
+
+def test_chars_lists_the_characters_of_depth_at_most_t2_in_label_order(rng):
+    """chars[e - 1] is the character D.select(d, e - first[d]) names for every
+    label index e <= first[t2+1] of a leaf at depth d: the characters of
+    depth <= t2 sorted by (depth, character), and no others."""
+    codes = [RevCanonCode(lengths) for lengths in ROOT_TABLE_LENGTHS + ([5] * 32, [12] * 4096)]
+    codes.append(RevCanonCode(huffman_lengths(benchmark_freqs(4096))))
+    for sigma in (2, 3, 5, 17, 256, 4096):
+        for weights in tie_heavy_weight_cases(rng, 3, sigma_max=sigma, sigma_min=sigma):
+            codes.append(RevCanonCode(huffman_lengths(weights)))
+    for code in codes:
+        assert code.t2 == t2_rule(code)
+        assert code.chars == sorted((i for i in range(1, code.sigma + 1)
+                                     if code.depths[i - 1] <= code.t2),
+                                    key=lambda i: (code.depths[i - 1], i))
+        if code.D is None:
+            continue
+        e = 0
+        for d in range(1, code.t2 + 1):
+            for r in range(1, code.leaves[d] + 1):
+                e += 1
+                assert code.chars[e - 1] == code.D.select(d, r)
+        assert e == len(code.chars)
+
+
+def test_shallow_table_answers_exactly_the_codewords_of_at_most_t2_bits(rng):
+    """_shallow maps the characters of depth <= t2, and no others, to their
     codewords, and encode answers them from it alone: with the walk and the
     height-0 entry gone, each still encodes and each deeper character
-    raises. It is counted as m = first[t+1] characters of ceil(lg(sigma+1))
-    bits."""
+    raises. It is counted as chars, first[t2+1] characters of
+    ceil(lg(sigma+1)) bits."""
     codes = [RevCanonCode(huffman_lengths(gen_zipf(200_000, 4096, 1.0, 1).smoothed_freqs()))]
     codes += [RevCanonCode(lengths) for lengths in (list(range(1, 65)) + [64], [5] * 32,
                                                      [12] * 4096, [0], [1, 1], FIVE)]
     for sigma in (2, 3, 5, 17, 256, 4096):
         for weights in tie_heavy_weight_cases(rng, 3, sigma_max=sigma, sigma_min=sigma):
             codes.append(RevCanonCode(huffman_lengths(weights)))
+    assert any(code.leaves[code.t + 1:code.t2 + 1] != [0] * (code.t2 - code.t)
+               for code in codes)   # some code lists depths deeper than t
     for code in codes:
         vals, lens = (a.tolist() for a in code.codeword_arrays())
-        shallow = [i for i, l in enumerate(lens, 1) if l <= code.t]
+        shallow = [i for i, l in enumerate(lens, 1) if l <= code.t2]
         assert sorted(code._shallow) == shallow
         assert all(code._shallow[i] == (vals[i - 1], lens[i - 1]) for i in shallow)
-        assert code.size_breakdown()["shallow"] == len(shallow) * int(np.ceil(np.log2(code.sigma + 1)))
+        assert code.size_breakdown()["chars"] == len(shallow) * int(np.ceil(np.log2(code.sigma + 1)))
         code._walk = code._one_depth = None
         for i, (v, l) in enumerate(zip(vals, lens), 1):
-            if l <= code.t:
+            if l <= code.t2:
                 assert code.encode(i) == (v, l)
             else:
                 with pytest.raises(TypeError):
                     code.encode(i)
 
 
-def test_decode_makes_one_select_per_root_miss(monkeypatch):
+def test_decode_selects_once_per_codeword_deeper_than_t2(monkeypatch):
     """decode's only wavelet query is one D.select per codeword longer than
-    the root window: with access_rank, access and rank refusing, decode and
-    decode_fast at every width read each character's codeword back as
-    (c, l), also where D is a matrix of height 0 (one depth) or absent
-    (sigma = 1), and select runs once per codeword of more than t bits."""
+    both the root window and t2: with access_rank, access and rank refusing,
+    decode and decode_fast at every width read each character's codeword
+    back as (c, l), also where D is a matrix of height 0 (one depth) or
+    absent (sigma = 1), and select runs once per codeword of more than
+    max(t, t2) bits; a shorter one beyond the window is named by chars."""
     codes = [RevCanonCode(huffman_lengths(gen_zipf(200_000, 4096, 1.0, 1).smoothed_freqs())),
              RevCanonCode(list(range(1, 65)) + [64]), RevCanonCode([5] * 32),
-             RevCanonCode([12] * 4096), RevCanonCode([0]), RevCanonCode([1, 1])]
+             RevCanonCode([12] * 4096), RevCanonCode([0]), RevCanonCode([1, 1]),
+             RevCanonCode(FIVE)]
     streams = []
     for code in codes:
         vals, lens = (a.tolist() for a in code.codeword_arrays())
@@ -427,7 +484,7 @@ def test_decode_makes_one_select_per_root_miss(monkeypatch):
             r = BitReader(data, nbits)
             assert [decode(r) for _ in lens] == list(zip(range(1, code.sigma + 1), lens))
             assert r.remaining == 0
-            assert selects == [l for l in lens if l > t]
+            assert selects == [l for l in lens if l > max(t, code.t2)]
 
 
 def test_decode_matches_per_bit_descent_random_codes(rng):
@@ -644,9 +701,9 @@ def test_model_bits_pinned_on_zipf_4096():
     from ncpc.alphabetic import build_alphabetic_code
     freqs = gen_zipf(200000, 4096, 1.0, seed=1).smoothed_freqs()
     code = RevCanonCode(huffman_lengths(freqs), shape="huffman")
-    assert code.size_breakdown() == {"D": 17746, "leaves": 247, "root": 1024, "label": 312,
-                                     "shallow": 117}
-    assert code.model_size_bits() == 19446
+    assert code.size_breakdown() == {"D": 16340, "leaves": 247, "root": 1024, "label": 312,
+                                     "chars": 507}
+    assert code.model_size_bits() == 18430
     alpha = build_alphabetic_code(freqs)
     assert alpha.size_breakdown() == {"B": 5696, "P": 2709, "A": 9728}
     assert alpha.model_size_bits() == 18133
