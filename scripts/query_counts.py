@@ -6,16 +6,19 @@ ncpcbench/run.py does, and over the pool's first --batches batches of 32
 prints, per family and op, the bytecodes executed per query (counted with
 sys.settrace and f_trace_opcodes; a call into C counts as the one
 instruction that makes it). Beside them it prints the structural counts
-that C calls hide: D's levels walked per wmm encode, and the D.select calls
-and their steps (one bisect each) per wmm decode. The last line is one JSON
-object with every count.
+that C calls hide: D's levels walked per wmm encode, the D.select calls
+and their steps (one bisect each) per wmm decode, and per family the
+BitReader peek, skip, read and _refill calls per decode. The last line is
+one JSON object with every count.
 
     python scripts/query_counts.py [--workload point] [--seed 1] [--batches 64]
 
 Each count repeats exactly for one Python version in a fresh process;
 bytecode counts differ between versions, and in a process that has
 traced the same code before. A counted query whose result differs from the family's
-codeword_arrays() is named on stderr and the script exits with status 1.
+codeword_arrays(), or a family whose decode calls a BitReader method other
+than _refill (the decoders read the reader's window inline, see ncpc.bits),
+is named on stderr and the script exits with status 1.
 """
 
 import argparse
@@ -23,6 +26,7 @@ import json
 import platform
 import sys
 import tempfile
+from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
@@ -31,6 +35,8 @@ sys.path.insert(0, str(ROOT / "ncpcbench"))
 
 from ncpc import bits, succinct  # noqa: E402
 from workloads import QUERY_OPS, WORKLOADS, Run  # noqa: E402
+
+READER_CALLS = ("peek", "skip", "read", "_refill")  # a decoder may call only _refill
 
 
 def load_run(workload: str, seed: int, workdir: Path) -> Run:
@@ -93,14 +99,14 @@ class _Counted:
 
 
 def query_counts(run: Run, batches: int) -> tuple[dict, list[str]]:
-    """(counts per query by name, one line per wrong result)."""
+    """(counts per query by name, one line per wrong result or refused reader call)."""
     span = range(min(batches, len(run.pool)))
     counts, wrong = {}, []
     for fam, op in QUERY_OPS:
         fn, args, expect = op_calls(run, fam, op, span)
         got, n = traced_calls(fn, args)
         counts[f"{fam}.{op}_bytecodes"] = n / len(args)
-        wrong += [f"{fam} {op} query {k}: {g} != {e}"
+        wrong += [f"wrong result: {fam} {op} query {k}: {g} != {e}"
                   for k, (g, e) in enumerate(zip(got, expect)) if g != e]
 
     wmm = run.models["wmm"]
@@ -131,6 +137,27 @@ def query_counts(run: Run, batches: int) -> tuple[dict, list[str]]:
             fn(a)
     counts["wmm.decode_selects"] = selects / len(args)
     counts["wmm.decode_select_steps"] = steps / len(args)
+
+    for fam in run.models:
+        calls = dict.fromkeys(READER_CALLS, 0)
+
+        def counted(name, real):
+            def call(self, *a):
+                calls[name] += 1
+                return real(self, *a)
+            return call
+
+        fn, args, _ = op_calls(run, fam, "decode", span)
+        with ExitStack() as patches:
+            for name in READER_CALLS:
+                patches.enter_context(mock.patch.object(
+                    bits.BitReader, name, counted(name, getattr(bits.BitReader, name))))
+            for a in args:
+                fn(a)
+        for name, n in calls.items():
+            counts[f"{fam}.decode_{name.lstrip('_')}s"] = n / len(args)
+        wrong += [f"reader call: {fam} decode calls BitReader.{name}"
+                  for name, n in calls.items() if n and name != "_refill"]
     return counts, wrong
 
 
@@ -155,7 +182,7 @@ def main() -> int:
                       "seed": args.seed, "queries": queries, "correct": not wrong,
                       "counts": counts}))
     for line in wrong:
-        print(f"wrong result: {line}", file=sys.stderr)
+        print(line, file=sys.stderr)
     return 1 if wrong else 0
 
 

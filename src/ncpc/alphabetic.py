@@ -22,7 +22,8 @@ of the cutoff runs:
 
 encode finds a character's mark from B's held counts with no Bitvector
 call, and reads per-mark lists built with the code (see
-CompactAlphabeticCode); decode reads A alone.
+CompactAlphabeticCode); decode reads A alone, from bits it takes straight
+from the BitReader's window.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .bits import BitReader
 from .codewords import MAX_CODEWORD_BITS, int_list, parent_depths
-from .errors import KraftViolation
+from .errors import KraftViolation, TruncatedStream
 from .succinct import _INCL8, Bitvector
 
 
@@ -324,8 +325,9 @@ class CompactAlphabeticCode:
     encode reads mark k = rank1(B, i) - 1 inline, from B's held per-byte
     count and one _INCL8 lookup, then the prebuilt codeword _shallow[k] of
     a shallow leaf, or a run's entry _marks[k], the very tuple A[P[k]], and
-    P[k]; decode is one A read. Neither calls a Bitvector query; the rest
-    is arithmetic on the run entry.
+    P[k]; decode is one A read of height_cap bits taken straight from the
+    reader's window, with no reader call but a rare refill. Neither calls a
+    Bitvector query; the rest is arithmetic on the run entry.
     """
 
     def __init__(self, profile: DepthProfile):
@@ -369,6 +371,7 @@ class CompactAlphabeticCode:
         self._marks = [A[p] for p in P]
         self._shallow = [(p >> (cutoff - e[1]), e[1]) if len(e) == 2 else None
                          for p, e in zip(P, self._marks)]
+        self._read_mask = (1 << cap) - 1  # decode's window read, a function of sigma
         self._arrays = None
 
     def encode(self, i: int) -> tuple[int, int]:
@@ -387,15 +390,26 @@ class CompactAlphabeticCode:
         return ((p << (h - 1)) + off - shift, self.cutoff + h - 1)
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
+        """(character, length) of the next codeword, read from the reader's
+        window (see ncpc.bits): height_cap bits, in which every codeword
+        fits, then one A read, and the run entry's arithmetic for a leaf
+        below the cutoff. Raises TruncatedStream, leaving the reader where
+        the codeword starts, if the stream ends inside it."""
         cap = self.height_cap
-        w = reader.peek(cap)    # every codeword fits in height_cap bits
+        pos = reader._pos
+        end = reader._end
+        if pos + cap > end:
+            end = reader._refill()
+        w = (reader._win >> (end - pos - cap)) & self._read_mask
         e = self.A[w >> (cap - self.cutoff)]
         if len(e) != 2:
             c, deep, h, shift = e
             l = self.cutoff + h
             d = (w >> (cap - l)) & ((1 << h) - 1)  # the offset after the run's prefix
             e = (c + d, l) if d < deep else (c + shift + (d >> 1), l - 1)
-        reader.skip(e[1])
+        if e[1] > reader._nbits - pos:
+            raise TruncatedStream("truncated stream")
+        reader._pos = pos + e[1]
         return e
 
     def codeword_arrays(self) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,14 @@ any check of the stream. read() is those checks plus one peek().
 BitReader serves peeks from a 128-bit window it refills only when a peek
 runs past it; the window belongs to the reader, not to the models that
 decode through it, so those stay immutable.
+
+The window is also the read protocol of ncpc's per-symbol decoders
+(CompactAlphabeticCode.decode, RevCanonCode's descent and TableCode.decode),
+and only theirs: they read the fields _pos, _win, _end and _nbits and call
+_refill() inline, so a codeword costs no reader call. Each decode reads its
+w <= 64 bits as peek(w) does, raises TruncatedStream without moving when
+its codeword of l bits passes _nbits, and else sets _pos forward by l.
+Every other caller uses peek, skip, read and tell.
 """
 
 from __future__ import annotations
@@ -80,6 +88,13 @@ class BitReader:
     state, so the models that decode through it hold none. read(w) is the
     width and length checks, one peek(w) and the advance; read() and
     skip() raise TruncatedStream, without moving, when fewer bits remain.
+
+    ncpc's per-symbol decoders read the window directly instead (see the
+    module docstring): _pos is the cursor, _nbits the stream's length, _win
+    the window's int and _end the bit position where it ends; _refill()
+    reloads the window at the cursor's byte and returns the new _end, so
+    the bits [pos, pos + w) of a w <= 64 bit read are
+    (_win >> (_end - pos - w)) & ((1 << w) - 1) once pos + w <= _end.
     """
 
     __slots__ = ("_data", "_nbits", "_pos", "_win", "_end")
@@ -114,10 +129,15 @@ class BitReader:
         pos = self._pos
         end = self._end
         if pos + width > end:
-            start = pos >> 3
-            self._win = int.from_bytes(self._data[start:start + 16], "big")
-            self._end = end = (start << 3) + 128
+            end = self._refill()
         return (self._win >> (end - pos - width)) & ((1 << width) - 1)
+
+    def _refill(self) -> int:
+        """Reload the window from the cursor's byte; returns its new end."""
+        start = self._pos >> 3
+        self._win = int.from_bytes(self._data[start:start + 16], "big")
+        self._end = end = (start << 3) + 128
+        return end
 
     def read(self, width: int) -> int:
         if width < 0 or width > 64:

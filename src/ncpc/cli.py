@@ -21,7 +21,7 @@ from .codewords import depth_tables
 from .corpus import (FAMILY_BY_NAME, SymbolSequence, _container_bytes, container_read,
                      container_write, depth_entropy, family_codewords, family_depths,
                      gen_zipf, ingest, raw_values, stats)
-from .errors import ContainerError, NcpcError
+from .errors import ContainerError, NcpcError, TruncatedStream
 from .revcanon import RevCanonCode, huffman_lengths
 from .stream import SequenceCodec
 from .table_codec import TableCode
@@ -307,7 +307,9 @@ def cmd_bench(args) -> int:
 
 def _check_roundtrips(code, msg: list[int]) -> None:
     """encode agrees with the codeword arrays, per-symbol decode reads every
-    codeword back in order, and the bulk codec round-trips msg."""
+    codeword back in order, the same stream cut one bit short truncates its
+    last codeword without moving the reader, and the bulk codec round-trips
+    msg."""
     vals, lens = code.codeword_arrays()
     sigma = len(lens)
     for c in range(1, sigma + 1):
@@ -318,6 +320,17 @@ def _check_roundtrips(code, msg: list[int]) -> None:
     for c in range(1, sigma + 1):
         assert code.decode(r) == (c, int(lens[c - 1])), f"decode of codeword {c}"
     assert r.tell() == nbits, "decode did not end on the last bit"
+    # the decoders check the stream's end themselves (see ncpc.bits)
+    start = nbits - int(lens[-1])
+    r = BitReader(data, nbits - 1)
+    r.skip(start)
+    try:
+        code.decode(r)
+    except TruncatedStream:
+        pass
+    else:
+        raise AssertionError("decode of the cut last codeword did not raise TruncatedStream")
+    assert r.tell() == start, "truncated decode moved the reader"
     data, nbits = codec.encode(msg)
     assert codec.decode(data, len(msg), nbits).tolist() == msg, "bulk round trip"
 

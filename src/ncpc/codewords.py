@@ -84,11 +84,10 @@ def parent_depths(parent: list[int], n: int) -> list[int]:
 
 
 def depth_tables(lengths) -> tuple[list[int], list[int]]:
-    """(leaves, nodes) per depth 0..L of the code tree with these leaf depths."""
-    L = max(lengths)
-    leaves = [0] * (L + 1)
-    for l in lengths:
-        leaves[l] += 1
+    """(leaves, nodes) per depth 0..L of the code tree with these leaf
+    depths, as lists of Python ints; an int64 array is counted in place."""
+    leaves = np.bincount(np.asarray(lengths, dtype=np.int64)).tolist()
+    L = len(leaves) - 1
     nodes = [0] * (L + 1)
     nodes[0] = 1
     for d in range(L):
@@ -133,7 +132,7 @@ def revcanon_codewords(lengths) -> tuple[np.ndarray, np.ndarray]:
     check_kraft(lens)
     if sigma == 1:
         return np.zeros(1, dtype=np.uint64), lens
-    leaves, nodes = depth_tables(lens.tolist())
+    leaves, nodes = depth_tables(lens)
     order = np.argsort(lens, kind="stable")
     sl = lens[order]
     group_start = np.concatenate(([0], np.flatnonzero(np.diff(sl)) + 1))

@@ -38,7 +38,7 @@ import numpy as np
 from .bits import BitReader
 from .codewords import huffman_lengths  # noqa: F401 (part of this module's API)
 from .codewords import check_kraft, depth_tables, revcanon_codewords
-from .errors import InvalidCodeState
+from .errors import InvalidCodeState, TruncatedStream
 from .succinct import _RANK8, WaveletTree
 
 
@@ -87,31 +87,39 @@ class RevCanonCode:
     decode descends on the label index R = first[d] + r of the node of
     rank r at depth d, over one entry per depth d = 1..L: (half[d],
     first[d+1], 1 << (L - d), d, first[d]). A step down tests bit d of the
-    peek with the mask and adds half[d] on a 1-bit, since first absorbs
+    L-bit read with the mask and adds half[d] on a 1-bit, since first absorbs
     the leaves[d-1] that child_rank subtracts, and the node is a leaf iff
     R <= first[d+1]; its rank among depth d's leaves is R - first[d], and
-    it is listed iff R <= first[t2+1]. The entries are functions of the
-    counted leaf counts, so they add no accounted bits.
+    it is listed iff R <= first[t2+1]. The entries, and the L-bit mask of
+    decode's window read, are functions of the counted leaf counts, so
+    they add no accounted bits.
     """
 
     def __init__(self, lengths, shape: str = "huffman") -> None:
         if shape != "huffman":
             raise ValueError(f"unknown shape: {shape}")
-        lengths = list(map(int, lengths))
-        sigma = len(lengths)
+        # one int64 array for check_kraft, depth_tables and D; what numpy
+        # refuses or holds as other than 1-d takes int() of each element,
+        # so the accepted inputs and their errors are list(map(int, ...))'s
+        try:
+            lens = np.asarray(lengths, dtype=np.int64)
+        except (TypeError, ValueError):
+            lens = None
+        if lens is None or lens.ndim != 1:
+            lens = np.array(list(map(int, lengths)), dtype=np.int64)
+        sigma = lens.size
         if sigma == 0:
             raise ValueError("empty alphabet")
-        check_kraft(lengths)
-        L = max(lengths)
+        check_kraft(lens)
 
         self.sigma = sigma
-        self.L = L
-        self.depths = tuple(lengths)
-        self.leaves, self.nodes = depth_tables(lengths)
+        self.depths = tuple(lens.tolist())
+        self.leaves, self.nodes = depth_tables(lens)
+        self.L = L = len(self.leaves) - 1
         self._half = [m // 2 for m in self.nodes]
         self._first = first = list(accumulate(self.leaves, initial=0))  # leaves above each depth
 
-        # t <= ceil(lg sigma) <= L, so every window fits in one peek
+        # t <= ceil(lg sigma) <= L, so every window fits in decode's one L-bit read
         self.t = t = ((sigma - 1).bit_length() + 1) // 2
         # the leaves of depth <= t number at most 2^t, so t2 >= t
         self.t2 = t2 = max(d for d in range(L + 1) if first[d + 1] <= 1 << t)
@@ -119,7 +127,7 @@ class RevCanonCode:
         # Python ints: with long codewords the weights outgrow int64
         weights = [n << L if d <= t2 else n * ((1 << L) + (sigma << (L - d)))
                    for d, n in enumerate(self.leaves[1:], 1)]
-        self.D = WaveletTree(lengths, L, weights) if sigma > 1 else None
+        self.D = WaveletTree(lens, L, weights) if sigma > 1 else None
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
         # label order: the character of rank r among depth d at first[d] + r - 1
@@ -132,6 +140,7 @@ class RevCanonCode:
         self._descent = tuple((self._half[d], first[d + 1], 1 << (L - d), d, first[d])
                               for d in range(1, L + 1))
         self._below_root = self._descent[t:]   # decode's, sliced once, not per call
+        self._read_mask = (1 << L) - 1          # decode's L-bit window read
         # encode's codewords of at most t2 bits: a leaf of depth d <= t has
         # its label, a deeper one climbs to its node's label at depth t
         self._shallow = {}
@@ -268,15 +277,18 @@ class RevCanonCode:
     def decode(self, reader: BitReader) -> tuple[int, int]:
         """(character, length) for the next codeword, by root-to-leaf descent.
 
-        Peeks L <= 64 bits once. The root table answers from the first t of
-        them: a codeword of at most t bits is returned with no descent;
-        otherwise its entry is the label index R of the window's internal
-        node at depth t, and the descent resumes below it, one entry per
-        depth, adding half[d] to R on a 1-bit until R falls within depth
-        d's leaves. A leaf of depth at most t2 is named by chars[R - 1],
-        a deeper one by one D.select(d, R - first[d]), and decode skips the
-        codeword. That select is decode's only wavelet query; its level
-        steps are folded when D is built (see WaveletTree).
+        Reads L <= 64 bits once, straight from the reader's window, with no
+        reader call but a rare refill (see ncpc.bits). The root table
+        answers from the first t of them: a codeword of at most t bits is
+        returned with no descent; otherwise its entry is the label index R
+        of the window's internal node at depth t, and the descent resumes
+        below it, one entry per depth, adding half[d] to R on a 1-bit until
+        R falls within depth d's leaves. A leaf of depth at most t2 is
+        named by chars[R - 1], a deeper one by one D.select(d, R - first[d]).
+        decode moves the reader past the codeword, or raises TruncatedStream
+        without moving it if the stream ends inside the codeword. The
+        select is decode's only wavelet query; its level steps are folded
+        when D is built (see WaveletTree).
         decode_fast takes the same walk through a DescentTable's root table.
         """
         return self._descend(reader, self.t, self.root, self._below_root)
@@ -288,9 +300,16 @@ class RevCanonCode:
 
     def _descend(self, reader: BitReader, t: int, root: list, descent: tuple) -> tuple[int, int]:
         """decode() from a root table over the first t <= L bits, then the
-        descent entries of depths t+1..L."""
+        descent entries of depths t+1..L. The L bits come straight from the
+        reader's window (see ncpc.bits); each exit checks the codeword's
+        length against the stream's end, raising TruncatedStream without
+        moving the reader, and then advances past it."""
         L = self.L
-        chunk = reader.peek(L)
+        pos = reader._pos
+        end = reader._end
+        if pos + L > end:
+            end = reader._refill()
+        chunk = (reader._win >> (end - pos - L)) & self._read_mask
         e = root[chunk >> (L - t)]
         if type(e) is not tuple:
             for half, stop, mask, d, above in descent:
@@ -300,10 +319,13 @@ class RevCanonCode:
                     break
             else:
                 raise InvalidCodeState("invalid code state")
-            c = self.chars[e - 1] if e <= self._listed else self.D.select(d, e - above)
-            reader.skip(d)      # a leaf at depth d used d bits
-            return (c, d)
-        reader.skip(e[1])
+            if d > reader._nbits - pos:     # a leaf at depth d uses d bits
+                raise TruncatedStream("truncated stream")
+            reader._pos = pos + d
+            return (self.chars[e - 1] if e <= self._listed else self.D.select(d, e - above), d)
+        if e[1] > reader._nbits - pos:
+            raise TruncatedStream("truncated stream")
+        reader._pos = pos + e[1]
         return e
 
     def codeword_set(self) -> list[tuple[int, int, int]]:

@@ -1,9 +1,10 @@
 """Classical table-based prefix codec.
 
-Encoding reads a single per-character table; decoding peeks max_len
-<= 64 bits once and, for each codeword length in ascending order,
-binary-searches that length's bucket for the window's prefix of that
-length. The first match is the codeword, because the code is prefix-free.
+Encoding reads a single per-character table; decoding reads max_len
+<= 64 bits once, straight from the BitReader's window (see ncpc.bits),
+and, for each codeword length in ascending order, binary-searches that
+length's bucket for the window's prefix of that length. The first match
+is the codeword, because the code is prefix-free.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .bits import BitReader
 from .codewords import MAX_CODEWORD_BITS
-from .errors import InvalidStream
+from .errors import InvalidStream, TruncatedStream
 
 
 class TableCode:
@@ -48,6 +49,7 @@ class TableCode:
         self.max_len = max(self._lengths)
         if self.max_len > MAX_CODEWORD_BITS:
             raise ValueError(f"codewords longer than {MAX_CODEWORD_BITS} bits")
+        self._read_mask = (1 << self.max_len) - 1  # decode's window read
 
     @classmethod
     def from_code(cls, code) -> "TableCode":
@@ -61,14 +63,24 @@ class TableCode:
         return (self._enc_v[i - 1], self._enc_l[i - 1])
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
+        """(character, length) of the next codeword, from max_len bits read
+        straight from the reader's window (see ncpc.bits). Raises
+        TruncatedStream, leaving the reader where the codeword starts, if
+        the stream ends inside it."""
         m = self.max_len
-        w = reader.peek(m)
+        pos = reader._pos
+        end = reader._end
+        if pos + m > end:
+            end = reader._refill()
+        w = (reader._win >> (end - pos - m)) & self._read_mask
         for ln in self._lengths:
             vals, chars = self._buckets[ln]
             v = w >> (m - ln)
             k = bisect_left(vals, v)
             if k < len(vals) and vals[k] == v:
-                reader.skip(ln)
+                if ln > reader._nbits - pos:
+                    raise TruncatedStream("truncated stream")
+                reader._pos = pos + ln
                 return (chars[k], ln)
         raise InvalidStream("invalid stream: no codeword matches")
 

@@ -592,3 +592,27 @@ def test_selftest_checks_every_listed_wmm_character(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL wmm-roundtrip: AssertionError('decode of codeword 5')"]
+
+
+def test_selftest_checks_that_a_truncated_decode_leaves_the_reader(monkeypatch, capsys):
+    """A decoder that moves the reader before it finds the stream too short
+    fails the selftest: decoding the every-character stream cut one bit
+    short must raise TruncatedStream on its last codeword with the reader
+    still where that codeword starts. Only the table family is patched."""
+    from ncpc.errors import TruncatedStream
+    from ncpc.table_codec import TableCode
+    real = TableCode.decode
+
+    def advances_before_checking(self, reader):
+        start = reader.tell()
+        try:
+            return real(self, reader)
+        except TruncatedStream:
+            reader._pos = start + 1     # any advance made before the check
+            raise
+
+    monkeypatch.setattr(TableCode, "decode", advances_before_checking)
+    assert run(["selftest"]) == EXIT_SELFTEST
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL table-roundtrip: AssertionError('truncated decode moved the reader')"]

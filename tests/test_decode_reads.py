@@ -1,7 +1,10 @@
-"""One read contract for the per-symbol decoders: each codeword costs one
-peek and one skip, and a stream cut inside a codeword raises
-TruncatedStream with the reader where the codeword starts. The bulk
-decoder is held to the same streams and cuts."""
+"""One read contract for the per-symbol decoders: each codeword is one
+peek at the reader's window and one skip of its cursor by exactly the
+codeword's length, both made inline on the reader's fields (see
+ncpc.bits). A decode calls no peek, skip or read, and calls _refill()
+once when its read passes the window's end and else never. A stream cut
+inside a codeword raises TruncatedStream with the reader where the
+codeword starts. The bulk decoder is held to the same streams and cuts."""
 
 import functools
 
@@ -17,19 +20,43 @@ from ncpc.table_codec import TableCode
 
 
 class CountingReader(BitReader):
-    """A BitReader that counts its peek and skip calls."""
+    """A BitReader that counts its _refill calls and, while `decoding` is
+    set, refuses peek, skip and read."""
 
     def __init__(self, data: bytes, nbits: int) -> None:
         super().__init__(data, nbits)
-        self.peeks = self.skips = 0
+        self.refills = 0
+        self.decoding = False
+
+    def _refill(self) -> int:
+        self.refills += 1
+        return super()._refill()
 
     def peek(self, width: int) -> int:
-        self.peeks += 1
+        assert not self.decoding, "decode called peek"
         return super().peek(width)
 
+    def read(self, width: int) -> int:
+        assert not self.decoding, "decode called read"
+        return super().read(width)
+
     def skip(self, width: int) -> None:
-        self.skips += 1
+        assert not self.decoding, "decode called skip"
         super().skip(width)
+
+    def decode_with(self, decode, width: int):
+        """decode(self) with peek, skip and read refused; asserts that it
+        refills once if a read of `width` bits at the cursor passes the
+        window's end and else not at all, and returns its result or raises
+        what it raised."""
+        refill = self._pos + width > self._end
+        before = self.refills
+        self.decoding = True
+        try:
+            return decode(self)
+        finally:
+            self.decoding = False
+            assert self.refills - before == refill, "refills other than the one a read needs"
 
 
 def seeded_freqs(sigma: int) -> list[int]:
@@ -60,6 +87,15 @@ def models(case):
     yield "alpha", build_alphabetic_code(freqs)
 
 
+def read_width(model) -> int:
+    """The bits a model's decode reads at the cursor; every codeword fits in them."""
+    if isinstance(model, RevCanonCode):
+        return model.L
+    if isinstance(model, TableCode):
+        return model.max_len
+    return model.height_cap
+
+
 def decoders(case):
     for name, model in models(case):
         if name == "wmm":
@@ -71,15 +107,16 @@ def decoders(case):
 @pytest.mark.parametrize("case", [1, 2, 5, 257, 4096, "L32", "L33", "L64"])
 def test_one_peek_and_one_skip_per_codeword(case):
     for name, model, decode in decoders(case):
+        width = read_width(model)
         cws = [model.encode(c) for c in range(1, model.sigma + 1)]
         data, nbits = pack_bits(*zip(*cws))
         starts = []
         r = CountingReader(data, nbits)
         for c, (_, l) in enumerate(cws, 1):
             starts.append(r.tell())
-            assert decode(r) == (c, l), name
+            assert r.decode_with(decode, width) == (c, l), name
+            assert r.tell() == starts[-1] + l, name
         assert r.tell() == nbits, name
-        assert (r.peeks, r.skips) == (model.sigma, model.sigma), name
 
         # every cut of the last 200 bits, decoded from a codeword that starts
         # at or before the first cut: whole codewords come back, and the one
@@ -89,18 +126,17 @@ def test_one_peek_and_one_skip_per_codeword(case):
         for cut in range(lo, nbits):
             r = CountingReader(data, cut)
             r.skip(starts[k0])
-            calls = 0
             for k in range(k0, model.sigma):
-                pos = r.tell()
-                calls += 1
+                assert r.tell() == starts[k], (name, cut)
                 if starts[k] + cws[k][1] <= cut:
-                    assert decode(r) == (k + 1, cws[k][1]), (name, cut)
+                    assert r.decode_with(decode, width) == (k + 1, cws[k][1]), (name, cut)
                     continue
                 with pytest.raises(TruncatedStream):
-                    decode(r)
-                assert r.tell() == pos, (name, cut)
+                    r.decode_with(decode, width)
+                assert r.tell() == starts[k], (name, cut)
                 break
-            assert (r.peeks, r.skips) == (calls, calls + 1), (name, cut)
+            else:
+                raise AssertionError(f"{name}: no codeword truncated at cut {cut}")
 
 
 @pytest.mark.parametrize("case", [1, 2, 5, 257, 4096, "L32", "L33", "L64"])

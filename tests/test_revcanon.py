@@ -84,6 +84,31 @@ def test_build_tables_uniform():
     assert code.nodes == [1, 2, 4]
 
 
+def test_build_accepts_what_int_of_each_length_accepts():
+    """The lengths may come as any iterable whose elements int() takes: a
+    tuple, numpy arrays, a generator, floats (truncated) or strings give the
+    list's code, with depths held as Python ints. What int() refuses stays
+    refused, and the errors come in the same order: conversion, then an
+    empty alphabet, then check_kraft's (a negative length, a length over 64
+    bits, then the Kraft sum)."""
+    want = RevCanonCode(FIVE)
+    for same in (tuple(FIVE), np.array(FIVE), np.array(FIVE, dtype=np.uint8),
+                 (l for l in FIVE), [l + 0.5 for l in FIVE], [str(l) for l in FIVE]):
+        code = RevCanonCode(same)
+        assert code.depths == tuple(FIVE) and all(type(d) is int for d in code.depths)
+        assert (code.leaves, code.nodes, code.L) == (want.leaves, want.nodes, want.L)
+        assert code.codeword_set() == want.codeword_set()
+        assert code.size_breakdown() == want.size_breakdown()
+    for bad, error in ((5, TypeError), ([[1, 2], [1, 2]], TypeError), ([[1], [1, 2]], TypeError),
+                       (np.array(FIVE).reshape(-1, 1), TypeError),
+                       (["x", 1], ValueError), ([None, 1], TypeError),
+                       ([], ValueError), (np.array([], dtype=np.int64), ValueError),
+                       ([1 << 70, -1], OverflowError), ([-1, 65, 1], KraftViolation),
+                       ([65, 1], ValueError), ([1, 1, 1], KraftViolation)):
+        with pytest.raises(error):
+            RevCanonCode(bad)
+
+
 def test_build_rejects_kraft_violation():
     with pytest.raises(KraftViolation):
         RevCanonCode([1, 1, 1])

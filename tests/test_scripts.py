@@ -99,3 +99,47 @@ def test_query_counts_fails_when_a_result_differs(monkeypatch, capsys):
         runpy.run_path(str(ROOT / "scripts" / "query_counts.py"), run_name="__main__")
     assert exc.value.code == 1
     assert "wrong result: wmm decode query 0" in capsys.readouterr().err
+
+
+def test_query_counts_count_the_reader_calls_of_each_decode(tmp_path):
+    """Every family's decode reads the reader's window with no peek, skip or
+    read call, and refills it exactly where a read of the family's width
+    would pass the window's end: the count equals a replay of the window
+    (128 bits from the cursor's byte) over the counted slice's payloads."""
+    script = runpy.run_path(str(ROOT / "scripts" / "query_counts.py"))
+    run = script["load_run"]("point", 1, tmp_path)
+    counts, wrong = script["query_counts"](run, 4)
+    assert not wrong
+    widths = {"wmm": run.models["wmm"].L, "alpha": run.models["alpha"].height_cap,
+              "table": run.models["table"].max_len}
+    pool = run.pool[:4]
+    queries = sum(len(batch) for batch in pool)
+    for fam, width in widths.items():
+        refills = 0
+        for batch in pool:
+            pos, end = 0, 128
+            for c in batch:
+                if pos + width > end:
+                    end = (pos >> 3 << 3) + 128
+                    refills += 1
+                pos += run.lens[fam][c - 1]
+        assert refills > 0
+        assert [counts[f"{fam}.decode_{k}"] for k in ("peeks", "skips", "reads", "refills")] == [
+            0, 0, 0, refills / queries], fam
+
+
+def test_query_counts_fails_when_a_decode_calls_the_reader(monkeypatch, capsys):
+    """A decode that still gives every right result but calls peek exits 1."""
+    from ncpc.alphabetic import CompactAlphabeticCode
+    real = CompactAlphabeticCode.decode
+
+    def peeks_first(self, reader):
+        reader.peek(1)
+        return real(self, reader)
+
+    monkeypatch.setattr(CompactAlphabeticCode, "decode", peeks_first)
+    monkeypatch.setattr(sys, "argv", ["query_counts.py", "--batches", "1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "query_counts.py"), run_name="__main__")
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines() == ["reader call: alpha decode calls BitReader.peek"]
