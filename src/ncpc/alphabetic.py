@@ -5,8 +5,9 @@ fully described by its leaf-depth profile. The builder finds a
 minimum-cost ordered tree (Garsia-Wachs), restricts its height when
 needed, then completely balances every subtree rooted at a cutoff depth.
 The balanced shape admits an arithmetic encoder/decoder over three small
-structures, which CompactAlphabeticCode builds from the depths in one scan
-of the cutoff runs:
+structures. Validating a profile computes each leaf's left edge at the
+tree's height once, as one array (DepthProfile); the cutoff runs, the
+balanced depths and these structures are array passes over it:
 
   B  marker bitvector over the alphabet (1 = shallow leaf or leftmost
      leaf of a subtree rooted at the cutoff depth),
@@ -40,32 +41,52 @@ from .errors import KraftViolation, TruncatedStream
 from .succinct import _INCL8, Bitvector
 
 
-def canonical_codewords(depths) -> list[tuple[int, int]]:
-    """Left-to-right codeword assignment (value, length) for a full ordered tree.
+def _positions(depths) -> tuple[np.ndarray, np.ndarray, int]:
+    """(d, pos, L) for the leaf depths, a list or tuple of ints, of a full
+    ordered binary tree: d the depths as int64, L their maximum, and
+    pos[i] = sum over k < i of 2^(L - d[k]), the left edge of leaf i at
+    depth L, whose codeword is then pos[i] >> (L - d[i]).
 
-    Raises KraftViolation if no full ordered binary tree realizes the
-    depths in this exact order.
+    pos is int64 while 2^L fits (L <= 62), else an object array of Python
+    ints, by the same expressions. At the first leaf that fails, raises
+    KraftViolation for a negative depth, then for an edge that is not a
+    multiple of the leaf's width (no full ordered tree realizes the depths
+    in this order), then for a leaf past the right end; last, if the leaves
+    do not fill the tree. All-negative depths raise ValueError.
     """
-    depths = list(depths)
     if not depths:
         raise KraftViolation("empty profile")
     L = max(depths)
     total = 1 << L
-    pos = 0
-    out = []
-    for d in depths:
-        if d < 0 or d > L:
-            raise KraftViolation(f"bad depth {d}")
-        step = 1 << (L - d)
-        if pos % step:
+    n = len(depths)
+    if min(depths) < 0:  # the leaves past the first negative one are never reached
+        n = next(i for i, x in enumerate(depths) if x < 0)
+    d = np.array(depths[:n], dtype=np.int64)
+    dt = np.int64 if L <= 62 else object
+    step = np.left_shift(np.ones(n, dtype=dt), (L - d).astype(dt))
+    pos = np.cumsum(step) - step  # exact up to the first failing leaf, even if int64 wraps past it
+    unaligned = np.flatnonzero(pos % step != 0)[:1].tolist()
+    overfull = np.flatnonzero(pos > total - step)[:1].tolist()
+    first = min(unaligned + overfull + [n])
+    if first < len(depths):
+        if first == n:
+            raise KraftViolation(f"bad depth {depths[n]}")
+        if unaligned == [first]:
             raise KraftViolation("depths not realizable in alphabet order")
-        if pos + step > total:
-            raise KraftViolation("depth profile overfull")
-        out.append((pos >> (L - d), d))
-        pos += step
-    if pos != total:
+        raise KraftViolation("depth profile overfull")
+    if int(pos[-1]) + int(step[-1]) != total:
         raise KraftViolation("depth profile does not fill the tree")
-    return out
+    return d, pos, L
+
+
+def canonical_codewords(depths) -> list[tuple[int, int]]:
+    """Left-to-right codeword assignment (value, length) for a full ordered tree.
+
+    Raises what _positions raises: KraftViolation if no full ordered binary
+    tree realizes the depths in this exact order.
+    """
+    d, pos, L = _positions(list(map(int, depths)))
+    return list(zip((pos >> (L - d)).tolist(), d.tolist()))
 
 
 def alphabetic_codewords(depths) -> tuple[np.ndarray, np.ndarray]:
@@ -77,21 +98,30 @@ def alphabetic_codewords(depths) -> tuple[np.ndarray, np.ndarray]:
     depths = int_list(depths)
     if depths and max(depths) > MAX_CODEWORD_BITS:
         raise ValueError(f"codewords longer than {MAX_CODEWORD_BITS} bits")
-    vals = np.array([v for v, _ in canonical_codewords(depths)], dtype=np.uint64)
-    return vals, np.asarray(depths, dtype=np.int64)
+    d, pos, L = _positions(depths)
+    return (pos >> (L - d)).astype(np.uint64), d
 
 
 @dataclass(frozen=True)
 class DepthProfile:
-    """Leaf depths of a full ordered binary tree, in alphabet order."""
+    """Leaf depths of a full ordered binary tree, in alphabet order.
+
+    Validation computes each leaf's left edge at depth L = height once (see
+    _positions); the cutoff runs, the balanced depths and the compiled code
+    are array passes over those edges. codewords() is built on first use.
+    """
 
     depths: tuple[int, ...]
-    _codewords: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _d: np.ndarray = field(init=False, repr=False, compare=False)
+    _pos: np.ndarray = field(init=False, repr=False, compare=False)
+    _L: int = field(init=False, repr=False, compare=False)
+    _codewords: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
-        # validates order-realizability + fullness; kept for codewords()
-        object.__setattr__(self, "_codewords", tuple(canonical_codewords(self.depths)))
+        depths = tuple(map(int, self.depths))
+        d, pos, L = _positions(depths)
+        for name, value in (("depths", depths), ("_d", d), ("_pos", pos), ("_L", L)):
+            object.__setattr__(self, name, value)
 
     @property
     def sigma(self) -> int:
@@ -99,9 +129,12 @@ class DepthProfile:
 
     @property
     def height(self) -> int:
-        return max(self.depths)
+        return self._L
 
     def codewords(self) -> tuple[tuple[int, int], ...]:
+        if self._codewords is None:
+            vals = (self._pos >> (self._L - self._d)).tolist()
+            object.__setattr__(self, "_codewords", tuple(zip(vals, self.depths)))
         return self._codewords
 
 
@@ -143,21 +176,22 @@ def garsia_wachs(freqs) -> list[int]:
     are realizable in the original order and optimal.
 
     The working list holds only the scanned prefix, between a left
-    sentinel and the next input weight, so no pair inside it qualifies.
-    After a merge only two pairs can newly qualify: the one just left of
-    the reinsertion point and the one at the gap the merge left. Each is
-    named by the element that closes it, as a distance from the list's
-    end, which merges further left do not change; a stack of these
-    distances is checked innermost (leftmost) first. Each merge moves only
-    the entries right of the reinsertion point; on monotone weights that
-    is still quadratic in the worst case.
+    sentinel and the next input weight, so no pair inside it qualifies,
+    and an appended weight that closes no qualifying pair needs no more
+    work. After a merge only two pairs can newly qualify: the one just
+    left of the reinsertion point, checked next, and the one at the gap
+    the merge left. Each is named by the element that closes it; a gap is
+    held as a distance from the list's end, which merges further left do
+    not change, and the stack of gaps is checked innermost (leftmost)
+    first. Each merge moves only the entries right of the reinsertion
+    point; on monotone weights that is still quadratic in the worst case.
     """
     n = len(freqs)
     if n == 0:
         raise ValueError("empty alphabet")
     if n == 1:
         return [0]
-    ws = [int(f) for f in freqs]
+    ws = int_list(freqs)
     if min(ws) <= 0:
         raise ValueError("weights must be positive")
     INF = float("inf")
@@ -168,11 +202,13 @@ def garsia_wachs(freqs) -> list[int]:
     for k in range(n + 1):
         ids.append(k if k < n else -1)
         wts.append(ws[k] if k < n else INF)
-        pending = [1]
-        while pending:
-            j = len(wts) - pending[-1]
+        j = len(wts) - 1  # the pair (j - 2, j - 1) qualifies if wts[j - 2] <= wts[j]
+        if j < 3 or wts[j - 2] > wts[j]:
+            continue
+        gaps = []
+        while j:
             if j < 3 or wts[j - 2] > wts[j]:
-                pending.pop()
+                j = len(wts) - gaps.pop() if gaps else 0
                 continue
             w = wts[j - 2] + wts[j - 1]
             parent[ids[j - 2]] = parent[ids[j - 1]] = nid
@@ -184,7 +220,8 @@ def garsia_wachs(freqs) -> list[int]:
             wts.insert(q + 1, w)
             ids.insert(q + 1, nid)
             nid += 1
-            pending.append(len(wts) - q - 1)
+            gaps.append(len(wts) - j + 1)  # wts[j] is now wts[j - 1]
+            j = q + 1
     return parent_depths(parent, n)
 
 
@@ -254,54 +291,45 @@ def build_height_restricted(freqs, height_cap: int) -> DepthProfile:
 
 # -- cutoff balancing ------------------------------------------------------
 
-def balanced_run_depths(r: int) -> list[int]:
-    """Relative depths of a completely balanced subtree with r leaves.
+def _cutoff_runs(profile: DepthProfile, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, counts, prefixes) of the maximal runs of leaves that share a
+    cutoff-bit codeword prefix, zero-padded: pos >> (L - cutoff), or
+    pos << (cutoff - L) when cutoff > L. A leaf of depth <= cutoff is a run
+    of its own, since its prefix differs from both neighbours'; every other
+    run is the leaves of the subtree rooted at its prefix."""
+    pos, L = profile._pos, profile._L
+    if cutoff <= L:
+        prefix = pos >> (L - cutoff)
+    else:
+        prefix = (pos if cutoff <= 62 else pos.astype(object)) << (cutoff - L)
+    starts = np.flatnonzero(np.concatenate(([True], prefix[1:] != prefix[:-1])))
+    return starts, np.diff(starts, append=len(pos)), prefix[starts]
 
-    With h = ceil(lg r): the first 2r - 2^h leaves sit at depth h, the
-    remaining 2^h - r at depth h - 1 (deeper leaves leftmost).
-    """
-    if r < 1:
-        raise ValueError("run must contain at least one leaf")
-    h = (r - 1).bit_length()
-    deep = 2 * r - (1 << h)
-    return [h] * deep + [h - 1] * ((1 << h) - r)
 
-
-def _cutoff_runs(profile: DepthProfile, cutoff: int):
-    """(i, j) for each leaf i of depth <= cutoff (j = i + 1), and for each
-    maximal run i..j-1 of deeper leaves sharing a cutoff-bit codeword prefix."""
-    depths = profile.depths
-    cws = profile.codewords()
-    sigma = len(depths)
-    i = 0
-    while i < sigma:
-        v, d = cws[i]
-        j = i + 1
-        if d > cutoff:
-            prefix = v >> (d - cutoff)
-            while j < sigma and depths[j] > cutoff and (cws[j][0] >> (depths[j] - cutoff)) == prefix:
-                j += 1
-        yield i, j
-        i = j
+def _balanced_depths(profile: DepthProfile, starts, counts, cutoff: int) -> np.ndarray:
+    """Each leaf's depth once every subtree rooted at depth `cutoff` is
+    completely balanced: a leaf of depth <= cutoff keeps its depth; in a run
+    of r deeper leaves, with h = ceil(lg r), the leaf at offset o sits at
+    cutoff + h if o < 2r - 2^h, else at cutoff + h - 1 (deeper leaves
+    leftmost)."""
+    r = np.repeat(counts, counts)
+    off = np.arange(len(r)) - np.repeat(starts, counts)
+    h = np.frexp(r - 1)[1].astype(np.int64)  # bit_length(r - 1)
+    return np.where(profile._d > cutoff, cutoff + h - (off >= 2 * r - (1 << h)), profile._d)
 
 
 def balance_at_cutoff(profile: DepthProfile, cutoff: int) -> DepthProfile:
     """Completely balance every maximal subtree rooted at depth `cutoff`.
 
     Leaves of depth <= cutoff are untouched; each maximal run of deeper
-    leaves sharing a cutoff-bit codeword prefix is replaced by the
-    balanced run profile.
+    leaves sharing a cutoff-bit codeword prefix takes the balanced depths
+    of _balanced_depths, computed for all leaves in one array pass over the
+    runs of _cutoff_runs.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    depths = profile.depths
-    out: list[int] = []
-    for i, j in _cutoff_runs(profile, cutoff):
-        if depths[i] <= cutoff:
-            out.append(depths[i])
-        else:
-            out.extend(cutoff + rd for rd in balanced_run_depths(j - i))
-    return DepthProfile(tuple(out))
+    starts, counts, _ = _cutoff_runs(profile, cutoff)
+    return DepthProfile(tuple(_balanced_depths(profile, starts, counts, cutoff).tolist()))
 
 
 # -- compiled representation ----------------------------------------------
@@ -328,6 +356,11 @@ class CompactAlphabeticCode:
     P[k]; decode is one A read of height_cap bits taken straight from the
     reader's window, with no reader call but a rare refill. Neither calls a
     Bitvector query; the rest is arithmetic on the run entry.
+
+    The build takes the runs and their prefixes from the profile's left
+    edges (_cutoff_runs), checks every depth against the balanced rule in
+    one array pass, and sets B from the run starts and P from the prefixes;
+    its one Python loop fills A, one step per mark.
     """
 
     def __init__(self, profile: DepthProfile):
@@ -335,33 +368,25 @@ class CompactAlphabeticCode:
         cutoff, cap = (cutoff_for(sigma), height_cap_for(sigma)) if sigma > 1 else (0, 0)
         if profile.height > cap:
             raise ValueError(f"profile height {profile.height} exceeds cap {cap}")
-        depths = profile.depths
-        cws = profile.codewords()
+        d = profile._d
+        starts, counts, prefixes = _cutoff_runs(profile, cutoff)
+        if not np.array_equal(_balanced_depths(profile, starts, counts, cutoff), d):
+            raise KraftViolation("subtree below the cutoff is not completely balanced")
         bbits = np.zeros(sigma, dtype=np.uint8)
-        P: list[int] = []
+        bbits[starts] = 1
+        P = prefixes.tolist()
         A: list = [None] * (1 << cutoff)
-        covered = 0
-        for i, j in _cutoff_runs(profile, cutoff):
-            v, d = cws[i]
-            bbits[i] = 1
-            P.append(v << (cutoff - d) if d <= cutoff else v >> (d - cutoff))
-            if d <= cutoff:
-                span = 1 << (cutoff - d)
-                A[P[-1]:P[-1] + span] = [(i + 1, d)] * span
-                covered += span
-                continue
-            if [depths[k] - cutoff for k in range(i, j)] != balanced_run_depths(j - i):
-                raise KraftViolation("subtree below the cutoff is not completely balanced")
-            r = j - i
-            h = (r - 1).bit_length()
-            A[P[-1]] = (i + 1, 2 * r - (1 << h), h, r - (1 << (h - 1)))
-            covered += 1
-        if covered != 1 << cutoff:
-            raise KraftViolation("dispatch table not fully populated")
+        for i, r, p, e in zip(starts.tolist(), counts.tolist(), P, d[starts].tolist()):
+            if e <= cutoff:  # a shallow leaf: every prefix below it
+                span = 1 << (cutoff - e)
+                A[p:p + span] = [(i + 1, e)] * span
+            else:
+                h = (r - 1).bit_length()
+                A[p] = (i + 1, 2 * r - (1 << h), h, r - (1 << (h - 1)))
         self.sigma = sigma
         self.cutoff = cutoff
         self.height_cap = cap
-        self.depths = depths
+        self.depths = profile.depths
         self.B = Bitvector(bbits)
         self.P = P
         self.A = A

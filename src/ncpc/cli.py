@@ -305,6 +305,13 @@ def cmd_bench(args) -> int:
 
 # -- selftest ----------------------------------------------------------------
 
+def _check(ok: bool, what: str) -> None:
+    """Raise AssertionError(what) unless ok; unlike an assert statement, this
+    check still runs under python -O."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def _check_roundtrips(code, msg: list[int]) -> None:
     """encode agrees with the codeword arrays, per-symbol decode reads every
     codeword back in order, the same stream cut one bit short truncates its
@@ -313,13 +320,13 @@ def _check_roundtrips(code, msg: list[int]) -> None:
     vals, lens = code.codeword_arrays()
     sigma = len(lens)
     for c in range(1, sigma + 1):
-        assert code.encode(c) == (int(vals[c - 1]), int(lens[c - 1])), f"encode({c})"
+        _check(code.encode(c) == (int(vals[c - 1]), int(lens[c - 1])), f"encode({c})")
     codec = SequenceCodec(vals, lens)
     data, nbits = codec.encode(range(1, sigma + 1))
     r = BitReader(data, nbits)
     for c in range(1, sigma + 1):
-        assert code.decode(r) == (c, int(lens[c - 1])), f"decode of codeword {c}"
-    assert r.tell() == nbits, "decode did not end on the last bit"
+        _check(code.decode(r) == (c, int(lens[c - 1])), f"decode of codeword {c}")
+    _check(r.tell() == nbits, "decode did not end on the last bit")
     # the decoders check the stream's end themselves (see ncpc.bits)
     start = nbits - int(lens[-1])
     r = BitReader(data, nbits - 1)
@@ -330,15 +337,15 @@ def _check_roundtrips(code, msg: list[int]) -> None:
         pass
     else:
         raise AssertionError("decode of the cut last codeword did not raise TruncatedStream")
-    assert r.tell() == start, "truncated decode moved the reader"
+    _check(r.tell() == start, "truncated decode moved the reader")
     data, nbits = codec.encode(msg)
-    assert codec.decode(data, len(msg), nbits).tolist() == msg, "bulk round trip"
+    _check(codec.decode(data, len(msg), nbits).tolist() == msg, "bulk round trip")
 
 
 def _check_wmm(code, msg: list[int]) -> None:
     """_check_roundtrips, after the per-depth counts that child_rank and
     parent_rank read: encode and decode read only tables built with the code."""
-    assert (code.leaves, code.nodes) == depth_tables(code.depths), "per-depth counts"
+    _check((code.leaves, code.nodes) == depth_tables(code.depths), "per-depth counts")
     _check_roundtrips(code, msg)
 
 
@@ -368,9 +375,9 @@ def _selftest_checks():
             payload, _ = SequenceCodec.for_code(code).encode(msg)
             cont = container_read(container_write(code.depths, FAMILY_BY_NAME[name],
                                                   payload, len(msg)))
-            assert cont.depths == list(code.depths), f"{name} depths"
+            _check(cont.depths == list(code.depths), f"{name} depths")
             decoded = SequenceCodec(*cont.codewords).decode(cont.payload_bytes, cont.n)
-            assert decoded.tolist() == msg, f"{name} payload"
+            _check(decoded.tolist() == msg, f"{name} payload")
 
     def container_refuses_bad_bytes():
         blob = container_write([1, 1], FAMILY_BY_NAME["wmm"], b"", 0)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the library's fast paths:
 linear scans, exhaustive tree enumeration, a greedy explicit-tree codec,
-the alphabetic B/P/A tables read off the codeword strings,
+the alphabetic B/P/A tables read off the codeword strings, the
+per-character alphabetic codeword assignment, cutoff runs and balancing,
 a two-queue Huffman cost, an interval DP for optimal ordered trees, the
 earlier list-rescanning Garsia-Wachs and heap Huffman builders, the
 per-character fill of the bulk codec's decode tables, the per-bit
@@ -112,6 +113,89 @@ class TreeCodec:
         return node["sym"], pos
 
 
+# -- alphabetic builders one character at a time ----------------------------
+# The library's earlier per-character loops, kept as oracles for the array
+# passes over the leaves' left edges that replaced them. The runs and the
+# balancing take a depth sequence and read their codewords from
+# canonical_codewords_reference, not from the library.
+
+def canonical_codewords_reference(depths) -> list[tuple[int, int]]:
+    """Left-to-right codeword assignment (value, length) for a full ordered tree.
+
+    Raises KraftViolation if no full ordered binary tree realizes the
+    depths in this exact order.
+    """
+    from ncpc.errors import KraftViolation
+    depths = list(depths)
+    if not depths:
+        raise KraftViolation("empty profile")
+    L = max(depths)
+    total = 1 << L
+    pos = 0
+    out = []
+    for d in depths:
+        if d < 0 or d > L:
+            raise KraftViolation(f"bad depth {d}")
+        step = 1 << (L - d)
+        if pos % step:
+            raise KraftViolation("depths not realizable in alphabet order")
+        if pos + step > total:
+            raise KraftViolation("depth profile overfull")
+        out.append((pos >> (L - d), d))
+        pos += step
+    if pos != total:
+        raise KraftViolation("depth profile does not fill the tree")
+    return out
+
+
+def balanced_run_depths(r: int) -> list[int]:
+    """Relative depths of a completely balanced subtree with r leaves.
+
+    With h = ceil(lg r): the first 2r - 2^h leaves sit at depth h, the
+    remaining 2^h - r at depth h - 1 (deeper leaves leftmost).
+    """
+    if r < 1:
+        raise ValueError("run must contain at least one leaf")
+    h = (r - 1).bit_length()
+    deep = 2 * r - (1 << h)
+    return [h] * deep + [h - 1] * ((1 << h) - r)
+
+
+def cutoff_runs_reference(depths, cutoff: int):
+    """(i, j) for each leaf i of depth <= cutoff (j = i + 1), and for each
+    maximal run i..j-1 of deeper leaves sharing a cutoff-bit codeword prefix."""
+    cws = canonical_codewords_reference(depths)
+    sigma = len(depths)
+    i = 0
+    while i < sigma:
+        v, d = cws[i]
+        j = i + 1
+        if d > cutoff:
+            prefix = v >> (d - cutoff)
+            while j < sigma and depths[j] > cutoff and (cws[j][0] >> (depths[j] - cutoff)) == prefix:
+                j += 1
+        yield i, j
+        i = j
+
+
+def balance_at_cutoff_reference(depths, cutoff: int) -> tuple[int, ...]:
+    """Completely balance every maximal subtree rooted at depth `cutoff`.
+
+    Leaves of depth <= cutoff are untouched; each maximal run of deeper
+    leaves sharing a cutoff-bit codeword prefix is replaced by the
+    balanced run profile.
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    out: list[int] = []
+    for i, j in cutoff_runs_reference(depths, cutoff):
+        if depths[i] <= cutoff:
+            out.append(depths[i])
+        else:
+            out.extend(cutoff + rd for rd in balanced_run_depths(j - i))
+    return tuple(out)
+
+
 # -- alphabetic B/P/A tables by brute force ----------------------------------
 
 def alphabetic_tables_brute(depths, cutoff):
@@ -123,8 +207,7 @@ def alphabetic_tables_brute(depths, cutoff):
     as h, their count minus 2^(h-1)). B marks every character A names, and
     P lists the first cutoff bits of their codewords, zero-padded, in
     alphabet order."""
-    from ncpc.alphabetic import canonical_codewords
-    cws = canonical_codewords(depths)
+    cws = canonical_codewords_reference(depths)
     words = [bits_of(v, d) for v, d in cws]
     shallow = [(i, w) for i, w in enumerate(words, 1) if len(w) <= cutoff]
     below: dict[str, list[int]] = {}

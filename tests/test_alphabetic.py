@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (TreeCodec, all_ordered_profiles, alphabetic_tables_brute,
-                      brute_optimal_cost, garsia_wachs_reference, optimal_depths_dp,
-                      tie_heavy_weight_cases)
-from ncpc.alphabetic import (DepthProfile, alphabetic_profile, balance_at_cutoff,
-                             balanced_run_depths, build_alphabetic_code, build_height_restricted,
+                      balance_at_cutoff_reference, balanced_run_depths, brute_optimal_cost,
+                      canonical_codewords_reference, cutoff_runs_reference,
+                      garsia_wachs_reference, optimal_depths_dp, tie_heavy_weight_cases)
+from ncpc.alphabetic import (DepthProfile, _cutoff_runs, alphabetic_codewords, alphabetic_profile,
+                             balance_at_cutoff, build_alphabetic_code, build_height_restricted,
                              build_optimal_alphabetic, canonical_codewords,
                              compile_code, cutoff_for, expected_length,
                              garsia_wachs, height_cap_for)
@@ -85,6 +86,60 @@ def test_profile_codewords_computed_once():
     prof = DepthProfile((1, 2, 3, 3))
     assert prof.codewords() is prof.codewords()
     assert list(prof.codewords()) == canonical_codewords(prof.depths)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:  # compared, not handled
+        return type(e), str(e)
+
+
+def test_array_builders_match_the_per_character_references(rng):
+    """Codeword values, cutoff runs and prefixes, balanced depths, compile's
+    balance check, and the exception type and message of every refusal,
+    against the per-character loops: every ordered profile up to 7 leaves,
+    each of those up to 6 leaves with one depth moved by one, Garsia-Wachs
+    profiles of tie-heavy weights, chains 61..64 and 70 levels tall (above
+    62 the positions are Python ints), and negative, all-negative,
+    unaligned, overfull and underfull profiles, alone and in either order."""
+    valid = [p for m in range(1, 8) for p in all_ordered_profiles(m)]
+    valid += [tuple(garsia_wachs(w)) for w in tie_heavy_weight_cases(rng, 300)]
+    valid += [tuple(range(1, L + 1)) + (L,) for L in (61, 62, 63, 64, 70)]
+    moved = [p[:i] + (p[i] + s,) + p[i + 1:] for m in range(1, 7) for p in all_ordered_profiles(m)
+             for i in range(m) for s in (-1, 1)]
+    invalid = [(), (-1,), (-1, -2), (1, -1, 1), (-1, 2, 1, 2), (2, 1, 2), (2, 1, 2, -1),
+               (1, 2, 2, -5), (1, 1, 1), (0, 0), (1, 1, 1, -1), (1, 1, 2, 1), (1, 2), (1,),
+               (2, 2, 1, 3), (1, 3, 3, 2, 2), tuple(range(1, 71)), tuple(range(1, 71)) + (70, 1)]
+    refusals = 0
+    for depths in valid + moved + invalid:
+        want = outcome(canonical_codewords_reference, depths)
+        refusals += isinstance(want, tuple)
+        assert outcome(canonical_codewords, depths) == want, depths
+        got = outcome(lambda: list(DepthProfile(depths).codewords()))
+        assert got == want, depths
+        if not depths or max(depths) <= 64:
+            got = outcome(lambda: [a.tolist() for a in alphabetic_codewords(depths)])
+            assert got == (want if isinstance(want, tuple) else
+                           [[v for v, _ in want], list(depths)]), depths
+    assert refusals == len(moved) + len(invalid)  # moving one depth by one breaks the Kraft sum
+    for depths in valid:
+        prof = DepthProfile(depths)
+        cws = canonical_codewords_reference(depths)
+        for c in range(prof.height + 2):
+            starts, counts, prefixes = _cutoff_runs(prof, c)
+            runs = list(cutoff_runs_reference(depths, c))
+            assert list(zip(starts.tolist(), (starts + counts).tolist())) == runs, (depths, c)
+            assert prefixes.tolist() == [v << (c - d) if d <= c else v >> (d - c)
+                                         for v, d in (cws[i] for i, _ in runs)]
+            balanced = balance_at_cutoff_reference(depths, c)
+            assert balance_at_cutoff(prof, c).depths == balanced, (depths, c)
+        if 1 < prof.sigma and prof.height <= height_cap_for(prof.sigma):
+            is_balanced = balance_at_cutoff_reference(depths, cutoff_for(prof.sigma)) == depths
+            got = outcome(lambda: compile_code(prof, prof.sigma).depths)
+            assert got == (depths if is_balanced else
+                           (KraftViolation, "subtree below the cutoff is not completely balanced"))
 
 
 # -- height-restricted DP -----------------------------------------------------

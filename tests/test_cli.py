@@ -616,3 +616,43 @@ def test_selftest_checks_that_a_truncated_decode_leaves_the_reader(monkeypatch, 
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL table-roundtrip: AssertionError('truncated decode moved the reader')"]
+
+
+def test_selftest_checks_under_python_O():
+    """python -O strips assert statements, and the selftest's checks are not
+    asserts: a child `python -O` whose alpha decode moves the reader before
+    it finds the stream too short fails the selftest on alpha alone."""
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    import ncpc
+    child = textwrap.dedent("""
+        import sys
+        import ncpc.cli
+        from ncpc.alphabetic import CompactAlphabeticCode
+        from ncpc.errors import TruncatedStream
+        if sys.flags.optimize != 1:
+            sys.exit("not running under -O")
+        real = CompactAlphabeticCode.decode
+
+        def advances_before_checking(self, reader):
+            start = reader.tell()
+            try:
+                return real(self, reader)
+            except TruncatedStream:
+                reader._pos = start + 1     # any advance made before the check
+                raise
+
+        CompactAlphabeticCode.decode = advances_before_checking
+        sys.exit(ncpc.cli.main(["selftest"]))
+    """)
+    src = str(Path(ncpc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == EXIT_SELFTEST, (proc.returncode, proc.stdout, proc.stderr)
+    assert [line for line in proc.stdout.splitlines() if line.startswith("FAIL")] == [
+        "FAIL alpha-roundtrip: AssertionError('truncated decode moved the reader')"]
