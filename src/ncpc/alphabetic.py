@@ -108,14 +108,13 @@ class DepthProfile:
 
     Validation computes each leaf's left edge at depth L = height once (see
     _positions); the cutoff runs, the balanced depths and the compiled code
-    are array passes over those edges. codewords() is built on first use.
+    are array passes over those edges.
     """
 
     depths: tuple[int, ...]
     _d: np.ndarray = field(init=False, repr=False, compare=False)
     _pos: np.ndarray = field(init=False, repr=False, compare=False)
     _L: int = field(init=False, repr=False, compare=False)
-    _codewords: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         depths = tuple(map(int, self.depths))
@@ -130,12 +129,6 @@ class DepthProfile:
     @property
     def height(self) -> int:
         return self._L
-
-    def codewords(self) -> tuple[tuple[int, int], ...]:
-        if self._codewords is None:
-            vals = (self._pos >> (self._L - self._d)).tolist()
-            object.__setattr__(self, "_codewords", tuple(zip(vals, self.depths)))
-        return self._codewords
 
 
 def expected_length(profile: DepthProfile, freqs) -> Fraction:
@@ -233,9 +226,14 @@ def build_optimal_alphabetic(freqs) -> DepthProfile:
 def build_height_restricted(freqs, height_cap: int) -> DepthProfile:
     """Optimal alphabetic code among trees of height <= height_cap.
 
-    Layered interval DP: cost[h][i][j] is the best cost of an ordered tree
-    over characters i..j of height <= h. Inner minimization is vectorized
-    per diagonal.
+    Layered interval DP (Garey, SIAM J. Comput. 1974): layer h holds, for
+    every interval i..i+m, the best cost of an ordered tree over it of
+    height <= h, as cost[m, i] and again at skew[m, i + m]. A tree over
+    i..i+ln splits after i+m into intervals of widths m and ln - m - 1,
+    whose costs are cost[m, i] and skew[ln - m - 1, i + ln]; so all
+    candidates of one width are one slice pair of the layer below, and
+    argmin takes the smallest split. alphabetic_profile calls it only up to
+    DP_SIGMA_MAX characters: a layer costs O(sigma^3) additions.
     """
     n = len(freqs)
     if n == 0:
@@ -252,38 +250,32 @@ def build_height_restricted(freqs, height_cap: int) -> DepthProfile:
         raise ValueError(f"height cap {height_cap} infeasible for sigma={n}")
 
     pref = np.concatenate(([0], np.cumsum(np.asarray(w, dtype=np.float64))))
-    INF = np.inf
-    # diag[m] = cost over intervals of width m (length m+1); layer h implicit
-    diag = [np.zeros(n)] + [np.full(n - m, INF) for m in range(1, n)]
-    splits: list[list[np.ndarray | None]] = []
-
     H = min(height_cap, n - 1)  # deeper than n-1 never helps
-    for _ in range(H):
-        new_diag = [np.zeros(n)]
-        layer_splits: list[np.ndarray | None] = [None]
+    cost = np.full((n, n), np.inf)  # layer 0: only single characters have a tree
+    cost[0] = 0
+    skew = cost.copy()
+    splits = np.zeros((H, n, n), dtype=np.int16)
+    for h in range(H):
+        below, below_skew = cost, skew
+        cost, skew = below.copy(), below_skew.copy()
         for ln in range(1, n):
             s = n - ln
-            stackrows = [diag[m][:s] + diag[ln - m - 1][m + 1:m + 1 + s]
-                         for m in range(ln)]
-            mat = np.stack(stackrows)
+            mat = below[:ln, :s] + below_skew[ln - 1::-1, ln:]
             bm = np.argmin(mat, axis=0)
-            best = mat[bm, np.arange(s)]
-            new_diag.append(best + pref[ln + 1:] - pref[:s])
-            layer_splits.append(bm.astype(np.int16))
-        diag = new_diag
-        splits.append(layer_splits)
+            cost[ln, :s] = skew[ln, ln:] = mat[bm, np.arange(s)] + pref[ln + 1:] - pref[:s]
+            splits[h, ln, :s] = bm
 
-    if not np.isfinite(diag[n - 1][0]):
+    if not np.isfinite(cost[n - 1, 0]):
         raise ValueError("height-restricted DP found no tree")  # unreachable
 
     depths = [0] * n
-    stack = [(0, n - 1, len(splits), 0)]
+    stack = [(0, n - 1, H, 0)]
     while stack:
         i, jj, h, d = stack.pop()
         if i == jj:
             depths[i] = d
             continue
-        m = int(splits[h - 1][jj - i][i])
+        m = int(splits[h - 1, jj - i, i])
         stack.append((i, i + m, h - 1, d + 1))
         stack.append((i + m + 1, jj, h - 1, d + 1))
     return DepthProfile(tuple(depths))
@@ -397,7 +389,6 @@ class CompactAlphabeticCode:
         self._shallow = [(p >> (cutoff - e[1]), e[1]) if len(e) == 2 else None
                          for p, e in zip(P, self._marks)]
         self._read_mask = (1 << cap) - 1  # decode's window read, a function of sigma
-        self._arrays = None
 
     def encode(self, i: int) -> tuple[int, int]:
         if not 1 <= i <= self.sigma:
@@ -438,10 +429,8 @@ class CompactAlphabeticCode:
         return e
 
     def codeword_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, lengths) for all characters, cached."""
-        if self._arrays is None:
-            self._arrays = alphabetic_codewords(self.depths)
-        return self._arrays
+        """(values, lengths) for all characters."""
+        return alphabetic_codewords(self.depths)
 
     def size_breakdown(self) -> dict[str, int]:
         """Accounted bits per component.

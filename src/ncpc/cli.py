@@ -358,6 +358,9 @@ def _selftest_checks():
     # zipf weights' codes have some (wmm depths 2..5, t = 3 and t2 = 5, so
     # decode names the characters of depths 4 and 5 from chars)
     zipf = [4096 // c for c in range(1, 65)]
+    # halving weights give a Garsia-Wachs tree of height 63 against sigma 64's
+    # cap of 11, so alpha's code comes from the height-restricted DP
+    halving = [1 << (63 - c) for c in range(64)]
 
     def wmm(w=weights):
         return RevCanonCode(huffman_lengths(w))
@@ -367,7 +370,7 @@ def _selftest_checks():
             _check_wmm(wmm(w), msg)
 
     def alpha_roundtrips():
-        for w in (weights, zipf):
+        for w in (weights, zipf, halving):
             _check_roundtrips(build_alphabetic_code(w), msg)
 
     def container_roundtrip():

@@ -85,37 +85,28 @@ def parent_depths(parent: list[int], n: int) -> list[int]:
 
 def depth_tables(lengths) -> tuple[list[int], list[int]]:
     """(leaves, nodes) per depth 0..L of the code tree with these leaf
-    depths, as lists of Python ints; an int64 array is counted in place."""
-    leaves = np.bincount(np.asarray(lengths, dtype=np.int64)).tolist()
-    L = len(leaves) - 1
-    nodes = [0] * (L + 1)
-    nodes[0] = 1
-    for d in range(L):
-        nodes[d + 1] = 2 * (nodes[d] - leaves[d])
-    return leaves, nodes
+    depths, as lists of Python ints; an int64 array is counted in place.
 
-
-def check_kraft(lengths) -> None:
-    """Raise KraftViolation on a negative length, then ValueError above
+    Raises KraftViolation on a negative length, then ValueError above
     MAX_CODEWORD_BITS (every decoder reads a codeword in one 64-bit peek),
-    then KraftViolation unless the lengths are the leaf depths of a full
-    binary tree, that is, satisfy the Kraft equality (so one character has
-    length 0, and more have lengths >= 1). The length bound comes before
-    the Kraft sum, whose integers are as wide as the longest length.
-
-    The per-depth counts of depth_tables are then consistent as well:
-    nodes[d] = sum over l >= d of leaves[l] * 2^(d-l), so leaves[d] <= nodes[d]
-    and nodes[L] == leaves[L].
+    both before any count, then KraftViolation unless the lengths are the
+    leaf depths of a full binary tree, that is, satisfy the Kraft equality
+    (so one character has length 0, and more have lengths >= 1). Since
+    nodes[L] - leaves[L] = 2^L - sum over d of leaves[d] * 2^(L-d), the
+    equality is nodes[L] == leaves[L].
     """
     lens = np.asarray(lengths, dtype=np.int64)
     if lens.min() < 0:
         raise KraftViolation("negative codeword length")
-    L = int(lens.max())
-    if L > MAX_CODEWORD_BITS:
+    if lens.max() > MAX_CODEWORD_BITS:
         raise ValueError(f"codewords longer than {MAX_CODEWORD_BITS} bits")
-    counts = np.bincount(lens).tolist()
-    if sum(c << (L - d) for d, c in enumerate(counts)) != 1 << L:
+    leaves = np.bincount(lens).tolist()
+    nodes = [1]
+    for d in range(len(leaves) - 1):
+        nodes.append(2 * (nodes[d] - leaves[d]))
+    if nodes[-1] != leaves[-1]:
         raise KraftViolation("lengths do not satisfy the Kraft equality")
+    return leaves, nodes
 
 
 def revcanon_codewords(lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -124,15 +115,14 @@ def revcanon_codewords(lengths) -> tuple[np.ndarray, np.ndarray]:
     Character i gets the leaf whose rank at depth lengths[i] is its rank
     among the characters of that length; the ascent to the root reads
     one codeword bit per level, a right child being one whose rank
-    exceeds nodes[d]/2. Raises what check_kraft raises, so the values
+    exceeds nodes[d]/2. Raises what depth_tables raises, so the values
     fit in uint64.
     """
     lens = np.asarray(lengths, dtype=np.int64)
     sigma = lens.size
-    check_kraft(lens)
+    leaves, nodes = depth_tables(lens)
     if sigma == 1:
         return np.zeros(1, dtype=np.uint64), lens
-    leaves, nodes = depth_tables(lens)
     order = np.argsort(lens, kind="stable")
     sl = lens[order]
     group_start = np.concatenate(([0], np.flatnonzero(np.diff(sl)) + 1))

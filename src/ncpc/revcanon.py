@@ -37,7 +37,7 @@ import numpy as np
 
 from .bits import BitReader
 from .codewords import huffman_lengths  # noqa: F401 (part of this module's API)
-from .codewords import check_kraft, depth_tables, revcanon_codewords
+from .codewords import depth_tables, revcanon_codewords
 from .errors import InvalidCodeState, TruncatedStream
 from .succinct import _RANK8, WaveletTree
 
@@ -98,9 +98,9 @@ class RevCanonCode:
     def __init__(self, lengths, shape: str = "huffman") -> None:
         if shape != "huffman":
             raise ValueError(f"unknown shape: {shape}")
-        # one int64 array for check_kraft, depth_tables and D; what numpy
-        # refuses or holds as other than 1-d takes int() of each element,
-        # so the accepted inputs and their errors are list(map(int, ...))'s
+        # one int64 array for depth_tables and D; what numpy refuses or
+        # holds as other than 1-d takes int() of each element, so the
+        # accepted inputs and their errors are list(map(int, ...))'s
         try:
             lens = np.asarray(lengths, dtype=np.int64)
         except (TypeError, ValueError):
@@ -110,11 +110,9 @@ class RevCanonCode:
         sigma = lens.size
         if sigma == 0:
             raise ValueError("empty alphabet")
-        check_kraft(lens)
-
+        self.leaves, self.nodes = depth_tables(lens)
         self.sigma = sigma
         self.depths = tuple(lens.tolist())
-        self.leaves, self.nodes = depth_tables(lens)
         self.L = L = len(self.leaves) - 1
         self._half = [m // 2 for m in self.nodes]
         self._first = first = list(accumulate(self.leaves, initial=0))  # leaves above each depth
@@ -128,7 +126,6 @@ class RevCanonCode:
         weights = [n << L if d <= t2 else n * ((1 << L) + (sigma << (L - d)))
                    for d, n in enumerate(self.leaves[1:], 1)]
         self.D = WaveletTree(lens, L, weights) if sigma > 1 else None
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
         # label order: the character of rank r among depth d at first[d] + r - 1
         self.chars = [self.D.select(d, r) for d in range(1, t2 + 1)
@@ -333,10 +330,8 @@ class RevCanonCode:
         return [(i, *self.encode(i)) for i in range(1, self.sigma + 1)]
 
     def codeword_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, lengths) for all characters; vectorized ascent, cached."""
-        if self._arrays is None:
-            self._arrays = revcanon_codewords(self.depths)
-        return self._arrays
+        """(values, lengths) for all characters; vectorized ascent."""
+        return revcanon_codewords(self.depths)
 
     def size_breakdown(self) -> dict[str, int]:
         """Accounted bits per component.

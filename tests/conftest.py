@@ -5,11 +5,12 @@ linear scans, exhaustive tree enumeration, a greedy explicit-tree codec,
 the alphabetic B/P/A tables read off the codeword strings, the
 per-character alphabetic codeword assignment, cutoff runs and balancing,
 a two-queue Huffman cost, an interval DP for optimal ordered trees, the
-earlier list-rescanning Garsia-Wachs and heap Huffman builders, the
-per-character fill of the bulk codec's decode tables, the per-bit
-reverse-canonical decode that the root table replaced, bit packing
-by Python-int concatenation, and a bit reader over the whole stream held
-as one int. Tests compare library output against these.
+earlier list-rescanning Garsia-Wachs and heap Huffman builders and
+row-slice height-restricted DP, the per-character fill of the bulk
+codec's decode tables, the per-bit reverse-canonical decode that the
+root table replaced, bit packing by Python-int concatenation, and a bit
+reader over the whole stream held as one int. Tests compare library
+output against these.
 """
 
 from __future__ import annotations
@@ -429,6 +430,71 @@ def optimal_depths_dp(freqs) -> list[int]:
             stack.append((i, k, d + 1))
             stack.append((k + 1, jj, d + 1))
     return depths
+
+
+# -- the height-restricted DP, one row slice per split --------------------
+# The library's earlier layered DP, kept verbatim as the oracle for the
+# one-slice-pair-per-width layers that replaced it: the library must return
+# identical depths, not merely depths of equal cost.
+
+def build_height_restricted_reference(freqs, height_cap: int):
+    """Optimal alphabetic code among trees of height <= height_cap.
+
+    Layered interval DP: cost[h][i][j] is the best cost of an ordered tree
+    over characters i..j of height <= h. Inner minimization is vectorized
+    per diagonal.
+    """
+    from ncpc.alphabetic import DepthProfile
+    n = len(freqs)
+    if n == 0:
+        raise ValueError("empty alphabet")
+    if n == 1:
+        if height_cap < 0:
+            raise ValueError("height cap must be >= 0")
+        return DepthProfile((0,))
+    w = [int(f) for f in freqs]
+    if min(w) <= 0:
+        raise ValueError("weights must be positive")
+    need = (n - 1).bit_length()
+    if height_cap < need:
+        raise ValueError(f"height cap {height_cap} infeasible for sigma={n}")
+
+    pref = np.concatenate(([0], np.cumsum(np.asarray(w, dtype=np.float64))))
+    INF = np.inf
+    # diag[m] = cost over intervals of width m (length m+1); layer h implicit
+    diag = [np.zeros(n)] + [np.full(n - m, INF) for m in range(1, n)]
+    splits: list[list[np.ndarray | None]] = []
+
+    H = min(height_cap, n - 1)  # deeper than n-1 never helps
+    for _ in range(H):
+        new_diag = [np.zeros(n)]
+        layer_splits: list[np.ndarray | None] = [None]
+        for ln in range(1, n):
+            s = n - ln
+            stackrows = [diag[m][:s] + diag[ln - m - 1][m + 1:m + 1 + s]
+                         for m in range(ln)]
+            mat = np.stack(stackrows)
+            bm = np.argmin(mat, axis=0)
+            best = mat[bm, np.arange(s)]
+            new_diag.append(best + pref[ln + 1:] - pref[:s])
+            layer_splits.append(bm.astype(np.int16))
+        diag = new_diag
+        splits.append(layer_splits)
+
+    if not np.isfinite(diag[n - 1][0]):
+        raise ValueError("height-restricted DP found no tree")  # unreachable
+
+    depths = [0] * n
+    stack = [(0, n - 1, len(splits), 0)]
+    while stack:
+        i, jj, h, d = stack.pop()
+        if i == jj:
+            depths[i] = d
+            continue
+        m = int(splits[h - 1][jj - i][i])
+        stack.append((i, i + m, h - 1, d + 1))
+        stack.append((i + m + 1, jj, h - 1, d + 1))
+    return DepthProfile(tuple(depths))
 
 
 def tie_heavy_weight_cases(rng, count: int, sigma_max: int = 60, sigma_min: int = 1):

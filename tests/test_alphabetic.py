@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import (TreeCodec, all_ordered_profiles, alphabetic_tables_brute,
                       balance_at_cutoff_reference, balanced_run_depths, brute_optimal_cost,
-                      canonical_codewords_reference, cutoff_runs_reference,
-                      garsia_wachs_reference, optimal_depths_dp, tie_heavy_weight_cases)
+                      build_height_restricted_reference, canonical_codewords_reference,
+                      cutoff_runs_reference, garsia_wachs_reference, optimal_depths_dp,
+                      tie_heavy_weight_cases)
 from ncpc.alphabetic import (DepthProfile, _cutoff_runs, alphabetic_codewords, alphabetic_profile,
                              balance_at_cutoff, build_alphabetic_code, build_height_restricted,
                              build_optimal_alphabetic, canonical_codewords,
@@ -82,12 +83,6 @@ def test_gw_identical_to_reference_zipf_4096():
     assert garsia_wachs(freqs) == garsia_wachs_reference(freqs)
 
 
-def test_profile_codewords_computed_once():
-    prof = DepthProfile((1, 2, 3, 3))
-    assert prof.codewords() is prof.codewords()
-    assert list(prof.codewords()) == canonical_codewords(prof.depths)
-
-
 def outcome(fn, *args):
     """fn(*args), or the type and message of what it raised."""
     try:
@@ -117,8 +112,8 @@ def test_array_builders_match_the_per_character_references(rng):
         want = outcome(canonical_codewords_reference, depths)
         refusals += isinstance(want, tuple)
         assert outcome(canonical_codewords, depths) == want, depths
-        got = outcome(lambda: list(DepthProfile(depths).codewords()))
-        assert got == want, depths
+        got = outcome(lambda: DepthProfile(depths).depths)
+        assert got == (want if isinstance(want, tuple) else depths), depths
         if not depths or max(depths) <= 64:
             got = outcome(lambda: [a.tolist() for a in alphabetic_codewords(depths)])
             assert got == (want if isinstance(want, tuple) else
@@ -170,6 +165,45 @@ def test_height_restricted_matches_enumeration(rng):
         prof = build_height_restricted(freqs, H)
         assert prof.height <= H
         assert cost(freqs, prof.depths) == brute_optimal_cost(freqs, height_cap=H)
+
+
+def dp_weight_cases(rng, count: int, sigma_max: int):
+    """Weight vectors for the DP cases, cycling through the five kinds of
+    tie_heavy_weight_cases, equal weights, 2^U(0, 62), 0.7^i * 10^15 and
+    four values {1, 3, 1000, 10^6}, each of random length 2..sigma_max."""
+    ties = tie_heavy_weight_cases(rng, count, sigma_max, sigma_min=2)
+    for case in range(count):
+        sigma = int(rng.integers(2, sigma_max + 1))
+        kind = case % 5
+        if kind == 0:
+            yield next(ties)
+        elif kind == 1:
+            yield [7] * sigma
+        elif kind == 2:
+            yield [int(2 ** x) for x in rng.uniform(0, 62, sigma)]
+        elif kind == 3:
+            yield [int(0.7 ** i * 10**15) + 1 for i in range(sigma)]
+        else:
+            yield rng.choice([1, 3, 1000, 10**6], sigma).tolist()
+
+
+def test_height_restricted_identical_to_reference(rng):
+    """The same depths as the row-slice DP, not merely the same cost, at
+    every cap from ceil(lg sigma) to height_cap_for(sigma) and at sigma - 1:
+    random weights and the weight kinds of dp_weight_cases, then two sigma
+    256 cases at their cap, the byte counts 4096 >> b (at least 1) and
+    geometric weights 0.7^i * 10^15."""
+    cases = [rng.integers(1, 1000, int(rng.integers(2, 33))).tolist() for _ in range(20)]
+    cases += list(dp_weight_cases(rng, 40, 32))
+    for freqs in cases:
+        sigma = len(freqs)
+        for cap in [*range((sigma - 1).bit_length(), height_cap_for(sigma) + 1), sigma - 1]:
+            want = build_height_restricted_reference(freqs, cap).depths
+            assert build_height_restricted(freqs, cap).depths == want, (freqs, cap)
+    for freqs in ([max(1, 4096 >> b) for b in range(256)],
+                  [int(0.7 ** i * 10**15) + 1 for i in range(256)]):
+        want = build_height_restricted_reference(freqs, 13).depths
+        assert build_height_restricted(freqs, 13).depths == want
 
 
 # -- balancing ---------------------------------------------------------------

@@ -82,6 +82,27 @@ def test_encode_bytes_are_pinned(tmp_path, codec):
     assert dec.read_bytes() == GOLDEN_INPUT
 
 
+# 8,434 bytes whose counts 4096 >> b (at least 1) give a Garsia-Wachs tree
+# of height 14 against sigma 256's cap of 13, so alpha's depths come from
+# the height-restricted DP
+DP_INPUT = bytes(b for b in range(256) for _ in range(max(1, 4096 >> b)))
+DP_ALPHA_SHA256 = "4d49cc941715b8abe124861155245448f8389a2354096a20cc413fb004600f07"
+
+
+def test_encode_bytes_are_pinned_where_the_height_dp_caps_the_tree(tmp_path):
+    import hashlib
+
+    from ncpc.alphabetic import build_optimal_alphabetic, height_cap_for
+    freqs = [max(1, 4096 >> b) for b in range(256)]
+    assert build_optimal_alphabetic(freqs).height > height_cap_for(256)
+    src, enc, dec = tmp_path / "in.bin", tmp_path / "in.ncpc", tmp_path / "out.bin"
+    src.write_bytes(DP_INPUT)
+    assert run(["encode", str(src), str(enc), "--codec", "alpha", "--mode", "bytes"]) == EXIT_OK
+    assert hashlib.sha256(enc.read_bytes()).hexdigest() == DP_ALPHA_SHA256
+    assert run(["decode", str(enc), str(dec)]) == EXIT_OK
+    assert dec.read_bytes() == DP_INPUT
+
+
 def test_encode_decode_roundtrip_u32le(tmp_path, rng):
     vals = rng.integers(0, 900, 3000, dtype=np.uint32)
     raw = vals.astype("<u4").tobytes()
@@ -444,6 +465,22 @@ def test_selftest_passes(capsys):
              "container-roundtrip", "container-refuses-bad-bytes"]
     assert out.splitlines() == [f"ok   {name}" for name in names] + ["all checks passed"]
     assert "FAIL" not in out
+
+
+def test_selftest_reaches_the_height_dp(monkeypatch, capsys):
+    """One of the selftest's alphabetic weight sets gives a Garsia-Wachs tree
+    taller than its cap, so the alpha round trip checks a DP-capped code."""
+    from ncpc import alphabetic
+    real = alphabetic.build_height_restricted
+    caps = []
+
+    def counted(freqs, height_cap):
+        caps.append(height_cap)
+        return real(freqs, height_cap)
+
+    monkeypatch.setattr(alphabetic, "build_height_restricted", counted)
+    assert run(["selftest"]) == EXIT_OK
+    assert caps == [alphabetic.height_cap_for(64)]
 
 
 def test_selftest_corrupt_hook_fails(monkeypatch, capsys):

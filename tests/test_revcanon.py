@@ -89,8 +89,8 @@ def test_build_accepts_what_int_of_each_length_accepts():
     tuple, numpy arrays, a generator, floats (truncated) or strings give the
     list's code, with depths held as Python ints. What int() refuses stays
     refused, and the errors come in the same order: conversion, then an
-    empty alphabet, then check_kraft's (a negative length, a length over 64
-    bits, then the Kraft sum)."""
+    empty alphabet, then depth_tables' (a negative length, a length over 64
+    bits, then the Kraft equality on the counts)."""
     want = RevCanonCode(FIVE)
     for same in (tuple(FIVE), np.array(FIVE), np.array(FIVE, dtype=np.uint8),
                  (l for l in FIVE), [l + 0.5 for l in FIVE], [str(l) for l in FIVE]):

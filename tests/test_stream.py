@@ -6,7 +6,7 @@ import pytest
 from conftest import pack_bits_reference, primary_table_loop
 from ncpc.alphabetic import alphabetic_codewords, alphabetic_profile
 from ncpc.bits import BitReader
-from ncpc.codewords import check_kraft, revcanon_codewords
+from ncpc.codewords import depth_tables, revcanon_codewords
 from ncpc.errors import InvalidStream, KraftViolation, TruncatedStream
 from ncpc.revcanon import RevCanonCode, huffman_lengths
 from ncpc.stream import SequenceCodec
@@ -94,10 +94,10 @@ def test_codewords_over_64_bits_are_refused():
 
 
 def test_lengths_over_64_bits_are_refused_before_the_kraft_sum():
-    # the Kraft sum works on integers as wide as the longest length
+    # the per-depth node counts are integers as wide as the longest length
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="64 bits"):
-        check_kraft([1, 10**5])
+        depth_tables([1, 10**5])
     with pytest.raises(ValueError, match="64 bits"):
         RevCanonCode([1, 10**5])
     with pytest.raises(ValueError, match="64 bits"):
