@@ -41,11 +41,18 @@ from .errors import KraftViolation, TruncatedStream
 from .succinct import _INCL8, Bitvector
 
 
-def _positions(depths) -> tuple[np.ndarray, np.ndarray, int]:
-    """(d, pos, L) for the leaf depths, a list or tuple of ints, of a full
-    ordered binary tree: d the depths as int64, L their maximum, and
-    pos[i] = sum over k < i of 2^(L - d[k]), the left edge of leaf i at
-    depth L, whose codeword is then pos[i] >> (L - d[i]).
+def _depth_array(depths) -> np.ndarray:
+    """A copy of the depths as int64; an int64 array is copied in one call."""
+    if isinstance(depths, np.ndarray) and depths.dtype == np.int64:
+        return depths.copy()
+    return np.array(int_list(depths), dtype=np.int64)
+
+
+def _positions(d: np.ndarray) -> tuple[np.ndarray, int]:
+    """(pos, L) for the leaf depths d, an int64 array, of a full ordered
+    binary tree: L their maximum, and pos[i] = sum over k < i of
+    2^(L - d[k]), the left edge of leaf i at depth L, whose codeword is
+    then pos[i] >> (L - d[i]).
 
     pos is int64 while 2^L fits (L <= 62), else an object array of Python
     ints, by the same expressions. At the first leaf that fails, raises
@@ -54,29 +61,27 @@ def _positions(depths) -> tuple[np.ndarray, np.ndarray, int]:
     in this order), then for a leaf past the right end; last, if the leaves
     do not fill the tree. All-negative depths raise ValueError.
     """
-    if not depths:
+    if not d.size:
         raise KraftViolation("empty profile")
-    L = max(depths)
+    L = int(d.max())
     total = 1 << L
-    n = len(depths)
-    if min(depths) < 0:  # the leaves past the first negative one are never reached
-        n = next(i for i, x in enumerate(depths) if x < 0)
-    d = np.array(depths[:n], dtype=np.int64)
+    neg = np.flatnonzero(d < 0)  # the leaves past the first negative one are never reached
+    n = int(neg[0]) if neg.size else d.size
     dt = np.int64 if L <= 62 else object
-    step = np.left_shift(np.ones(n, dtype=dt), (L - d).astype(dt))
+    step = np.left_shift(np.ones(n, dtype=dt), (L - d[:n]).astype(dt))
     pos = np.cumsum(step) - step  # exact up to the first failing leaf, even if int64 wraps past it
     unaligned = np.flatnonzero(pos % step != 0)[:1].tolist()
     overfull = np.flatnonzero(pos > total - step)[:1].tolist()
     first = min(unaligned + overfull + [n])
-    if first < len(depths):
+    if first < d.size:
         if first == n:
-            raise KraftViolation(f"bad depth {depths[n]}")
+            raise KraftViolation(f"bad depth {d[n]}")
         if unaligned == [first]:
             raise KraftViolation("depths not realizable in alphabet order")
         raise KraftViolation("depth profile overfull")
     if int(pos[-1]) + int(step[-1]) != total:
         raise KraftViolation("depth profile does not fill the tree")
-    return d, pos, L
+    return pos, L
 
 
 def canonical_codewords(depths) -> list[tuple[int, int]]:
@@ -85,7 +90,8 @@ def canonical_codewords(depths) -> list[tuple[int, int]]:
     Raises what _positions raises: KraftViolation if no full ordered binary
     tree realizes the depths in this exact order.
     """
-    d, pos, L = _positions(list(map(int, depths)))
+    d = _depth_array(depths)
+    pos, L = _positions(d)
     return list(zip((pos >> (L - d)).tolist(), d.tolist()))
 
 
@@ -95,10 +101,10 @@ def alphabetic_codewords(depths) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError above MAX_CODEWORD_BITS before building any codeword,
     since the values are held in uint64.
     """
-    depths = int_list(depths)
-    if depths and max(depths) > MAX_CODEWORD_BITS:
+    d = _depth_array(depths)
+    if d.size and d.max() > MAX_CODEWORD_BITS:
         raise ValueError(f"codewords longer than {MAX_CODEWORD_BITS} bits")
-    d, pos, L = _positions(depths)
+    pos, L = _positions(d)
     return (pos >> (L - d)).astype(np.uint64), d
 
 
@@ -108,7 +114,9 @@ class DepthProfile:
 
     Validation computes each leaf's left edge at depth L = height once (see
     _positions); the cutoff runs, the balanced depths and the compiled code
-    are array passes over those edges.
+    are array passes over those edges. The depths may be given as any
+    sequence of ints or as an int64 array; they are held as a tuple of
+    Python ints.
     """
 
     depths: tuple[int, ...]
@@ -117,9 +125,9 @@ class DepthProfile:
     _L: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        depths = tuple(map(int, self.depths))
-        d, pos, L = _positions(depths)
-        for name, value in (("depths", depths), ("_d", d), ("_pos", pos), ("_L", L)):
+        d = _depth_array(self.depths)
+        pos, L = _positions(d)
+        for name, value in (("depths", tuple(d.tolist())), ("_d", d), ("_pos", pos), ("_L", L)):
             object.__setattr__(self, name, value)
 
     @property
@@ -220,7 +228,7 @@ def garsia_wachs(freqs) -> list[int]:
 
 def build_optimal_alphabetic(freqs) -> DepthProfile:
     """Minimum expected-length alphabetic code for positive weights."""
-    return DepthProfile(tuple(garsia_wachs(freqs)))
+    return DepthProfile(np.array(garsia_wachs(freqs), dtype=np.int64))
 
 
 def build_height_restricted(freqs, height_cap: int) -> DepthProfile:
@@ -234,6 +242,12 @@ def build_height_restricted(freqs, height_cap: int) -> DepthProfile:
     candidates of one width are one slice pair of the layer below, and
     argmin takes the smallest split. alphabetic_profile calls it only up to
     DP_SIGMA_MAX characters: a layer costs O(sigma^3) additions.
+
+    Costs are exact integers. An interval with no tree of height <= h
+    costs no_tree = total * (H + 1), more than any tree's cost (at most
+    total * H), and every cost is clamped to it, so no sum exceeds
+    total * (2H + 3); they are int64 while that is below 2^63, else Python
+    ints in an object array, by the same expressions.
     """
     n = len(freqs)
     if n == 0:
@@ -249,9 +263,12 @@ def build_height_restricted(freqs, height_cap: int) -> DepthProfile:
     if height_cap < need:
         raise ValueError(f"height cap {height_cap} infeasible for sigma={n}")
 
-    pref = np.concatenate(([0], np.cumsum(np.asarray(w, dtype=np.float64))))
     H = min(height_cap, n - 1)  # deeper than n-1 never helps
-    cost = np.full((n, n), np.inf)  # layer 0: only single characters have a tree
+    total = sum(w)
+    no_tree = total * (H + 1)
+    dt = np.int64 if total * (2 * H + 3) < 1 << 63 else object
+    pref = np.concatenate((np.zeros(1, dtype=dt), np.cumsum(np.array(w, dtype=dt))))
+    cost = np.full((n, n), no_tree, dtype=dt)  # layer 0: only single characters have a tree
     cost[0] = 0
     skew = cost.copy()
     splits = np.zeros((H, n, n), dtype=np.int16)
@@ -262,10 +279,11 @@ def build_height_restricted(freqs, height_cap: int) -> DepthProfile:
             s = n - ln
             mat = below[:ln, :s] + below_skew[ln - 1::-1, ln:]
             bm = np.argmin(mat, axis=0)
-            cost[ln, :s] = skew[ln, ln:] = mat[bm, np.arange(s)] + pref[ln + 1:] - pref[:s]
+            cost[ln, :s] = skew[ln, ln:] = np.minimum(
+                mat[bm, np.arange(s)] + pref[ln + 1:] - pref[:s], no_tree)
             splits[h, ln, :s] = bm
 
-    if not np.isfinite(cost[n - 1, 0]):
+    if cost[n - 1, 0] >= no_tree:
         raise ValueError("height-restricted DP found no tree")  # unreachable
 
     depths = [0] * n
@@ -278,7 +296,7 @@ def build_height_restricted(freqs, height_cap: int) -> DepthProfile:
         m = int(splits[h - 1, jj - i, i])
         stack.append((i, i + m, h - 1, d + 1))
         stack.append((i + m + 1, jj, h - 1, d + 1))
-    return DepthProfile(tuple(depths))
+    return DepthProfile(depths)
 
 
 # -- cutoff balancing ------------------------------------------------------
@@ -321,7 +339,7 @@ def balance_at_cutoff(profile: DepthProfile, cutoff: int) -> DepthProfile:
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     starts, counts, _ = _cutoff_runs(profile, cutoff)
-    return DepthProfile(tuple(_balanced_depths(profile, starts, counts, cutoff).tolist()))
+    return DepthProfile(_balanced_depths(profile, starts, counts, cutoff))
 
 
 # -- compiled representation ----------------------------------------------

@@ -26,10 +26,23 @@ def huffman_lengths(freqs) -> list[int]:
 
     Two-queue merge (van Leeuwen 1976): the leaves sorted by (weight,
     index) and a FIFO of merged nodes, each keyed by (weight, smallest
-    character index below it). Every merge takes the two smallest heads
-    under that key; merged nodes come out in increasing key order, so the
-    FIFO stays sorted, and the merges are those of a heap under the same
-    key. The key is packed as weight * n + index.
+    character index below it), packed as weight * n + index. Every merge
+    takes the two smallest available keys, and the merges are those of a
+    heap under the same key.
+
+    A merged node's key exceeds both picks that made it, so the picks in
+    order are the non-root keys in increasing order, merge m pairing
+    picks 2m and 2m + 1. Let K be the key of the next node to be made,
+    from the two smallest available keys: every available key below K is
+    picked, in sorted order, before any node not yet made. So one batch
+    of numpy calls sorts those keys (all merged nodes available, and the
+    leaves below K), pairs them, appends their parents' keys to the FIFO
+    and leaves an odd largest one for the next batch. The smallest pick's
+    weight at least doubles every two batches, so there are at most
+    2 lg(total / min) + 2 of them; then one reverse pass over the batches
+    sets each child one deeper than its parent. Keys are int64 while
+    (total + 1) * n < 2^62, else Python ints in an object array, by the
+    same expressions.
     """
     n = len(freqs)
     if n == 0:
@@ -40,35 +53,40 @@ def huffman_lengths(freqs) -> list[int]:
     if n == 1:
         return [0]
     big = (sum(w) + 1) * n  # above every key: ends both queues
-    leaves = sorted([wi * n + i for i, wi in enumerate(w)])
-    leaves.append(big)
-    merged = [big] * (n - 1)
-    parent = [0] * (2 * n - 1)
-    a = b = 0
-    for m in range(n - 1):
-        up = n + m
-        k1 = merged[b]
-        k2 = leaves[a]
-        if k1 < k2:
-            parent[n + b] = up
-            b += 1
-        else:
-            k1 = k2
-            parent[k1 % n] = up
-            a += 1
-        k2 = merged[b]
-        k = leaves[a]
-        if k2 < k:
-            parent[n + b] = up
-            b += 1
-        else:
-            k2 = k
-            parent[k2 % n] = up
-            a += 1
-        t1 = k1 % n
-        t2 = k2 % n
-        merged[m] = k1 - t1 + k2 - t2 + (t1 if t1 < t2 else t2)
-    return parent_depths(parent, n)
+    dt = np.int64 if big < 1 << 62 else object
+    keys = np.sort(np.array(w, dtype=dt) * n + np.arange(n))
+    leaf_ids = (keys % n).astype(np.int64)
+    leaves = np.append(keys, np.array([big, big], dtype=dt))
+    merged = np.full(n + 1, big, dtype=dt)
+    picks = np.empty(2 * n - 2, dtype=np.int64)  # node ids in pick order
+    made = []  # merges done after each batch
+    a = b = m = 0  # leaves taken, merged nodes taken, merged nodes made
+    while m < n - 1:
+        l0, l1 = leaves[a:a + 2].tolist()
+        m0, m1 = merged[b:b + 2].tolist()
+        k1, k2 = (l0, min(l1, m0)) if l0 < m0 else (m0, min(l0, m1))
+        t1, t2 = k1 % n, k2 % n
+        cut = k1 - t1 + k2 - t2 + min(t1, t2)  # node m's key
+        p = int(leaves.searchsorted(cut)) - a
+        ks = np.concatenate((leaves[a:a + p], merged[b:m]))
+        o = ks.argsort(kind="stable")  # timsort: two sorted runs merge in linear time
+        if len(o) & 1:  # the largest waits for a partner of the next batch
+            o = o[:-1]
+        ids = np.concatenate((leaf_ids[a:a + p], np.arange(n + b, n + m)))[o]
+        ks = ks[o]
+        t = ks % n
+        r = len(o) // 2
+        merged[m:m + r] = ks[0::2] - t[0::2] + ks[1::2] - t[1::2] + np.minimum(t[0::2], t[1::2])
+        picks[2 * m:2 * m + 2 * r] = ids
+        taken = int(np.count_nonzero(ids < n))
+        a += taken
+        b += 2 * r - taken
+        m += r
+        made.append(m)
+    depth = np.zeros(2 * n - 1, dtype=np.int64)
+    for lo, hi in zip(reversed([0] + made[:-1]), reversed(made)):
+        depth[picks[2 * lo:2 * hi]] = np.repeat(depth[n + lo:n + hi], 2) + 1
+    return depth[:n].tolist()
 
 
 def parent_depths(parent: list[int], n: int) -> list[int]:

@@ -94,7 +94,8 @@ def outcome(fn, *args):
 def test_array_builders_match_the_per_character_references(rng):
     """Codeword values, cutoff runs and prefixes, balanced depths, compile's
     balance check, and the exception type and message of every refusal,
-    against the per-character loops: every ordered profile up to 7 leaves,
+    against the per-character loops, for the depths as a tuple and as an
+    int64 array: every ordered profile up to 7 leaves,
     each of those up to 6 leaves with one depth moved by one, Garsia-Wachs
     profiles of tie-heavy weights, chains 61..64 and 70 levels tall (above
     62 the positions are Python ints), and negative, all-negative,
@@ -114,10 +115,14 @@ def test_array_builders_match_the_per_character_references(rng):
         assert outcome(canonical_codewords, depths) == want, depths
         got = outcome(lambda: DepthProfile(depths).depths)
         assert got == (want if isinstance(want, tuple) else depths), depths
+        arr = np.array(depths, dtype=np.int64)
+        assert outcome(canonical_codewords, arr) == want, depths
+        assert outcome(lambda: DepthProfile(arr).depths) == got, depths
         if not depths or max(depths) <= 64:
             got = outcome(lambda: [a.tolist() for a in alphabetic_codewords(depths)])
             assert got == (want if isinstance(want, tuple) else
                            [[v for v, _ in want], list(depths)]), depths
+            assert outcome(lambda: [a.tolist() for a in alphabetic_codewords(arr)]) == got, depths
     assert refusals == len(moved) + len(invalid)  # moving one depth by one breaks the Kraft sum
     for depths in valid:
         prof = DepthProfile(depths)
@@ -135,6 +140,16 @@ def test_array_builders_match_the_per_character_references(rng):
             got = outcome(lambda: compile_code(prof, prof.sigma).depths)
             assert got == (depths if is_balanced else
                            (KraftViolation, "subtree below the cutoff is not completely balanced"))
+
+
+def test_depth_profile_copies_an_int64_array():
+    """The profile holds its depths as a tuple of Python ints and keeps no
+    tie to the caller's array."""
+    arr = np.array([1, 2, 2], dtype=np.int64)
+    prof = DepthProfile(arr)
+    arr[0] = 5
+    assert prof.depths == (1, 2, 2) and prof._d.tolist() == [1, 2, 2]
+    assert all(type(d) is int for d in prof.depths)
 
 
 # -- height-restricted DP -----------------------------------------------------
@@ -165,6 +180,20 @@ def test_height_restricted_matches_enumeration(rng):
         prof = build_height_restricted(freqs, H)
         assert prof.height <= H
         assert cost(freqs, prof.depths) == brute_optimal_cost(freqs, height_cap=H)
+
+
+def test_height_restricted_optimal_past_float64(rng):
+    """Optimal among capped trees by enumeration where float64 sums are not
+    exact: weights {1, 2, 3, b, b + 5} at sigma 4..8, with b = 2^55 (costs in
+    int64) and b = 2^60 (costs past int64, as Python ints)."""
+    for big in (1 << 55, 1 << 60):
+        for _ in range(150):
+            sigma = int(rng.integers(4, 9))
+            freqs = rng.choice([1, 2, 3, big, big + 5], sigma).tolist()
+            H = int(rng.integers((sigma - 1).bit_length(), sigma))
+            prof = build_height_restricted(freqs, H)
+            assert prof.height <= H
+            assert cost(freqs, prof.depths) == brute_optimal_cost(freqs, height_cap=H), (freqs, H)
 
 
 def dp_weight_cases(rng, count: int, sigma_max: int):

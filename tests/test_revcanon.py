@@ -70,6 +70,30 @@ def test_huffman_lengths_identical_to_heap_zipf_4096():
     assert huffman_lengths(freqs) == huffman_lengths_heap(freqs)
 
 
+def test_huffman_lengths_identical_to_heap_point_wide():
+    """The benchmark's seed-1 point-wide counts (sigma 65536, 200k records),
+    as the int64 array the benchmark passes."""
+    freqs = benchmark_freqs(65536)
+    assert huffman_lengths(freqs) == huffman_lengths_heap(freqs)
+
+
+def test_huffman_lengths_identical_to_heap_one_merge_per_batch_and_past_2_62(rng):
+    """Fibonacci weights (n 90, both orders) and powers of two (n 64), where
+    each batch of the merge makes one node, and totals past 2^62, where the
+    keys are Python ints: weights near 2^61, and weights below 2^40 whose
+    total fits int64 but whose keys do not. Each as a list and as an object
+    array."""
+    fib = [1, 1]
+    while len(fib) < 90:
+        fib.append(fib[-1] + fib[-2])
+    heavy = [(1 << 61) + f for f in rng.integers(0, 5, 40).tolist()]
+    wide = rng.integers(1, 1 << 40, 5000).tolist()
+    for freqs in (fib, fib[::-1], [1 << i for i in range(64)], heavy, wide):
+        want = huffman_lengths_heap(freqs)
+        assert huffman_lengths(freqs) == want
+        assert huffman_lengths(np.array(freqs, dtype=object)) == want
+
+
 # -- model construction ---------------------------------------------------------
 
 def test_build_tables_five():
