@@ -190,8 +190,6 @@ def garsia_wachs(freqs) -> list[int]:
     n = len(freqs)
     if n == 0:
         raise ValueError("empty alphabet")
-    if n == 1:
-        return [0]
     ws = int_list(freqs)
     if min(ws) <= 0:
         raise ValueError("weights must be positive")
@@ -252,10 +250,6 @@ def build_height_restricted(freqs, height_cap: int) -> DepthProfile:
     n = len(freqs)
     if n == 0:
         raise ValueError("empty alphabet")
-    if n == 1:
-        if height_cap < 0:
-            raise ValueError("height cap must be >= 0")
-        return DepthProfile((0,))
     w = [int(f) for f in freqs]
     if min(w) <= 0:
         raise ValueError("weights must be positive")

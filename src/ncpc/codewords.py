@@ -1,8 +1,13 @@
 """Pure functions from frequencies to codeword lengths and from lengths to
 reverse-canonical codewords.
 
-Both the reverse-canonical code model and the Huffman-shaped wavelet
-matrix that stores its depth sequence use them, so they live below both.
+level_labels gives the code tree's node labels depth by depth in rank
+order; every codeword, and every table entry that the reverse-canonical
+model builds, is read from it, and prefix_windows spreads codewords of
+at most t bits over the t-bit windows they prefix, for the model's root
+table and the bulk codec's decode table alike. The reverse-canonical
+model, the Huffman-shaped wavelet matrix that stores its depth sequence
+and the bulk codec use them, so they live below all three.
 """
 
 from __future__ import annotations
@@ -127,33 +132,54 @@ def depth_tables(lengths) -> tuple[list[int], list[int]]:
     return leaves, nodes
 
 
+def level_labels(leaves):
+    """For each depth d = 0..L of the code tree with these per-depth leaf
+    counts, the d-bit labels (root-to-node paths, as uint64) of its nodes
+    in rank order.
+
+    At depth d the left children of depth d-1's internal nodes come first,
+    in their parents' order, then the right children: child_rank's affine
+    map. So depth d's labels are depth d-1's internal-node labels shifted
+    left, then the same with a 1-bit, and the leaves, ranks 1..leaves[d],
+    lead each depth; all depths together hold 2 sigma - 1 labels.
+    """
+    labels = np.zeros(1, dtype=np.uint64)
+    for n in leaves:
+        yield labels
+        inner = labels[n:] << np.uint64(1)
+        labels = np.concatenate((inner, inner | np.uint64(1)))
+
+
 def revcanon_codewords(lengths) -> tuple[np.ndarray, np.ndarray]:
     """(values, lengths) of the reverse-canonical code with these lengths.
 
     Character i gets the leaf whose rank at depth lengths[i] is its rank
-    among the characters of that length; the ascent to the root reads
-    one codeword bit per level, a right child being one whose rank
-    exceeds nodes[d]/2. Raises what depth_tables raises, so the values
-    fit in uint64.
+    among the characters of that length, so the characters in stable
+    order of their lengths take the leaf labels of level_labels in turn.
+    Raises what depth_tables raises, so the values fit in uint64.
     """
     lens = np.asarray(lengths, dtype=np.int64)
-    sigma = lens.size
-    leaves, nodes = depth_tables(lens)
-    if sigma == 1:
-        return np.zeros(1, dtype=np.uint64), lens
-    order = np.argsort(lens, kind="stable")
-    sl = lens[order]
-    group_start = np.concatenate(([0], np.flatnonzero(np.diff(sl)) + 1))
-    starts_per = np.repeat(group_start, np.diff(np.concatenate((group_start, [sigma]))))
-    r = np.empty(sigma, dtype=np.int64)
-    r[order] = np.arange(sigma) - starts_per + 1
-
-    vals = np.zeros(sigma, dtype=np.uint64)
-    for d in range(len(leaves) - 1, 0, -1):
-        half = nodes[d] // 2
-        act = lens >= d
-        rd = r[act]
-        bit = rd > half
-        vals[act] |= bit.astype(np.uint64) << (lens[act] - d).astype(np.uint64)
-        r[act] = rd - bit * half + leaves[d - 1]
+    leaves, _ = depth_tables(lens)
+    vals = np.empty(lens.size, dtype=np.uint64)
+    vals[np.argsort(lens, kind="stable")] = np.concatenate(
+        [labels[:n] for labels, n in zip(level_labels(leaves), leaves)])
     return vals, lens
+
+
+def prefix_windows(values, lengths, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slot, entry): every t-bit window that starts with a codeword of at
+    most t bits, paired with that codeword's index in values/lengths.
+
+    A codeword of l <= t bits fills the 2^(t-l) windows it prefixes; a
+    prefix-free code fills at most 2^t of them, so a KraftViolation is
+    raised before any fill beyond that.
+    """
+    lens = np.asarray(lengths, dtype=np.int64)
+    short = np.flatnonzero(lens <= t)
+    span = np.left_shift(1, t - lens[short])
+    total = int(span.sum())
+    if total > 1 << t:
+        raise KraftViolation("codeword lengths exceed the Kraft inequality")
+    first = np.asarray(values)[short].astype(np.int64) << (t - lens[short])
+    slot = np.repeat(first - np.cumsum(span) + span, span) + np.arange(total)
+    return slot, np.repeat(short, span)

@@ -4,23 +4,27 @@ Codeword lengths are non-decreasing when the codewords are sorted by
 their bit-reversed form, and within one length the reversed order equals
 character order. Under that convention the whole code is determined by
 the depth sequence D (one codeword length per character) plus per-depth
-leaf counts, and codewords are never materialized: encoding walks the
-implicit code tree from leaf to root and decoding from root to leaf,
-using only rank arithmetic. Both directions share a table over the first
-t = ceil(ceil(lg sigma) / 2) bits and a list of the characters of depth
-at most a second cut t2 >= t in label order (depth, then character), at
-most 2^t of them. Decoding starts from the root table, which answers
-codewords of at most t bits outright and gives the label index of the
-node at depth t for the rest, and carries that index down to the depth
-where the codeword ends: a leaf of depth at most t2 is named by one list
-read, a deeper one by one select on D. Encoding answers a codeword of at
-most t2 bits from a dict over the listed characters, and ends a longer
-one in the label table, the root table's inverse, which gives its first
-t bits from the rank its ascent reaches at depth t, so the ascent climbs
-only l - t levels. Encoding runs D's level steps itself, and the level
+leaf counts. Every label the build needs comes from level_labels, each
+depth's node labels in rank order, and the characters of the shallow
+depths from one stable sort of them, so building the model makes no
+wavelet query. Past those tables codewords are never materialized:
+encoding walks the implicit code tree from leaf to root and decoding
+from root to leaf, using only rank arithmetic. Both directions share a
+table over the first t = ceil(ceil(lg sigma) / 2) bits and a list of the
+characters of depth at most a second cut t2 >= t in label order (depth,
+then character), at most 2^t of them. Decoding starts from the root
+table, which answers codewords of at most t bits outright and gives the
+label index of the node at depth t for the rest, and carries that index
+down to the depth where the codeword ends: a leaf of depth at most t2 is
+named by one list read, a deeper one by one select on D. Encoding answers
+a codeword of at most t2 bits from a dict over the listed characters, and
+ends a longer one in the label table, the root table's inverse, which
+gives its first t bits from the rank its ascent reaches at depth t, so
+the ascent climbs only l - t levels. Encoding runs D's level steps itself, and the level
 where a character's depth leaves D's matrix hands it that depth's ascent
 steps, so an encode makes no wavelet query. A DescentTable is the same
-root table at a width the caller chooses.
+root table at a width the caller chooses; one wider than t2 names its
+leaves deeper than t2 by select on D.
 
 Rank conventions at depth d (1-based ranks over reversed path labels):
 leaves occupy ranks 1..leaves[d], internal nodes the rest; a node is a
@@ -37,7 +41,7 @@ import numpy as np
 
 from .bits import BitReader
 from .codewords import huffman_lengths  # noqa: F401 (part of this module's API)
-from .codewords import depth_tables, revcanon_codewords
+from .codewords import depth_tables, level_labels, prefix_windows, revcanon_codewords
 from .errors import InvalidCodeState, TruncatedStream
 from .succinct import _RANK8, WaveletTree
 
@@ -73,11 +77,11 @@ class RevCanonCode:
     size_breakdown() counts.
 
     encode answers a character of depth d <= t2 from _shallow, the held
-    index over chars: its codeword is its label for d <= t, and its ascent
-    from depth d to its node's label at depth t deeper. Any other character
-    runs D's level step itself over D's own per-level tuples, whose leaf
-    entries it maps from D's codeword of a depth l > t2 to (l, -start,
-    ascent), start being the block where depth l begins in its level; the
+    index over chars: its codeword is its leaf's d-bit label, as
+    level_labels gives it. Any other character runs D's level step itself
+    over D's own per-level tuples, whose leaf entries it maps from D's
+    codeword of a depth l > t2 to (l, -start, ascent), start being the
+    block where depth l begins in its level; the
     ascent is (half[d], leaves[d-1], 1 << (l - d)) for d = l down to t + 1,
     the last step adding first[t]. Each is a function of the counted leaf
     counts and of D, so the entries add no accounted bits. Calling
@@ -128,8 +132,9 @@ class RevCanonCode:
         self.D = WaveletTree(lens, L, weights) if sigma > 1 else None
 
         # label order: the character of rank r among depth d at first[d] + r - 1
-        self.chars = [self.D.select(d, r) for d in range(1, t2 + 1)
-                      for r in range(1, self.leaves[d] + 1)] if self.D is not None else [1]
+        listed = np.flatnonzero(lens <= t2)
+        listed = listed[np.argsort(lens[listed], kind="stable")]
+        self.chars = (listed + 1).tolist()
         self._listed = first[t2 + 1]
         self.root, self.label = self._root_table(t)
         # decode's descent: per depth d = 1..L, (half[d], first[d+1], the
@@ -138,16 +143,10 @@ class RevCanonCode:
                               for d in range(1, L + 1))
         self._below_root = self._descent[t:]   # decode's, sliced once, not per call
         self._read_mask = (1 << L) - 1          # decode's L-bit window read
-        # encode's codewords of at most t2 bits: a leaf of depth d <= t has
-        # its label, a deeper one climbs to its node's label at depth t
-        self._shallow = {}
-        for d in range(t + 1):
-            for k in range(first[d], first[d + 1]):
-                self._shallow[self.chars[k]] = (self.label[k], d)
-        for d in range(t + 1, t2 + 1):
-            _, _, ascent = self._encode_entry(d, 0)
-            for q in range(self.leaves[d]):
-                self._shallow[self.chars[first[d] + q]] = self._ascend(d, q, ascent)
+        # encode's codewords of at most t2 bits: each listed leaf's label
+        shallow = np.concatenate([labels[:n] for n, labels in
+                                  zip(self.leaves[:t2 + 1], level_labels(self.leaves))])
+        self._shallow = dict(zip(self.chars, zip(shallow.tolist(), lens[listed].tolist())))
         # encode's walk: D's levels, each leaf entry (depth l > t2, block start) made l's entry
         walk = self.D._access_walk if self.D is not None else ()
         self._walk = tuple((data, ranks, zeros, ended,
@@ -184,30 +183,23 @@ class RevCanonCode:
     def _root_table(self, t: int) -> tuple[list, list[int]]:
         """The root table over t <= L bits and its inverse label table.
 
-        The root table is filled in window order: a leaf of depth d <= t
-        fills its span of 2^(t-d) windows, an internal node at depth t one.
-        The node (d, r) that starts window w gets the label w >> (t - d).
+        The label table holds the leaf labels of the depths below t, then
+        all of depth t's labels (level_labels), and prefix_windows fills
+        the root table from it: a leaf fills its 2^(t-d) windows with
+        (c, d), the internal node at label index k its one window with k + 1.
+        The leaves past chars, deeper than t2, are named by D.select.
         """
-        leaves = self.leaves
-        half = self._half
-        first = self._first
-        root: list = []
-        label = [0] * (first[t] + self.nodes[t])
-        while len(root) < 1 << t:
-            w = len(root)
-            d, r = 0, 1
-            while r > leaves[d] and d < t:
-                d += 1
-                r -= leaves[d - 1]
-                if (w >> (t - d)) & 1:
-                    r += half[d]
-            label[first[d] + r - 1] = w >> (t - d)
-            if r > leaves[d]:
-                root.append(first[t] + r)
-            else:
-                c = self.chars[first[d] + r - 1] if d <= self.t2 else self.D.select(d, r)
-                root += [(c, d)] * (1 << (t - d))
-        return root, label
+        leaves, first = self.leaves, self._first
+        counts = leaves[:t] + [self.nodes[t]]
+        label = np.concatenate([labels[:n] for n, labels in zip(counts, level_labels(leaves))])
+        depth = np.repeat(np.arange(t + 1), counts)
+        named = self.chars[:first[t + 1]] + [self.D.select(d, r) for d in range(self.t2 + 1, t + 1)
+                                              for r in range(1, leaves[d] + 1)]
+        entries = list(zip(named, depth.tolist())) + list(range(first[t + 1] + 1, label.size + 1))
+        slot, k = prefix_windows(label, depth, t)
+        at = np.empty(1 << t, dtype=np.int64)
+        at[slot] = k
+        return [entries[i] for i in at.tolist()], label.tolist()
 
     # -- rank arithmetic ---------------------------------------------------
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bits import pack_bits
-from .codewords import MAX_CODEWORD_BITS
-from .errors import InvalidStream, KraftViolation, TruncatedStream
+from .codewords import MAX_CODEWORD_BITS, prefix_windows
+from .errors import InvalidStream, TruncatedStream
 
 
 class SequenceCodec:
@@ -34,19 +34,11 @@ class SequenceCodec:
         self._long: dict[int, dict[int, int]] = {}
         if t:
             lens = self._lens
-            short = np.flatnonzero(lens <= t)
-            # a codeword of l <= t bits fills the 2^(t-l) slots it prefixes;
-            # a prefix-free code fills at most 2^t of them, so the fill is bounded
-            span = np.left_shift(1, t - lens[short])
-            total = int(span.sum())
-            if total > 1 << t:
-                raise KraftViolation("codeword lengths exceed the Kraft inequality")
-            first = self._vals[short].astype(np.int64) << (t - lens[short])
-            slot = np.repeat(first - np.cumsum(span) + span, span) + np.arange(total)
+            slot, k = prefix_windows(self._vals, lens, t)
             tlen = np.zeros(1 << t, dtype=np.int64)
             tsym = np.zeros(1 << t, dtype=np.int64)
-            tlen[slot] = np.repeat(lens[short], span)
-            tsym[slot] = np.repeat(short + 1, span)
+            tlen[slot] = lens[k]
+            tsym[slot] = k + 1
             self._tlen = tlen.tolist()
             self._tsym = tsym.tolist()
             for l in np.unique(lens[lens > t]).tolist():  # ascending, as decode probes

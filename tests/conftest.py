@@ -7,10 +7,11 @@ per-character alphabetic codeword assignment, cutoff runs and balancing,
 a two-queue Huffman cost, an interval DP for optimal ordered trees, the
 earlier list-rescanning Garsia-Wachs and heap Huffman builders and
 row-slice height-restricted DP, the per-character fill of the bulk
-codec's decode tables, the per-bit reverse-canonical decode that the
-root table replaced, bit packing by Python-int concatenation, and a bit
-reader over the whole stream held as one int. Tests compare library
-output against these.
+codec's decode tables, the per-level masked ascent that computed
+reverse-canonical codewords before the per-depth labelling, the per-bit
+reverse-canonical decode that the root table replaced, bit packing by
+Python-int concatenation, and a bit reader over the whole stream held as
+one int. Tests compare library output against these.
 """
 
 from __future__ import annotations
@@ -544,6 +545,38 @@ def primary_table_loop(values, lengths):
         else:
             long.setdefault(l, {})[v] = c + 1
     return tlen, tsym, long
+
+
+# -- reverse-canonical codewords by a per-level ascent ---------------------------
+
+def revcanon_codewords_ascent(lengths):
+    """(values, lengths) of the reverse-canonical code, as revcanon_codewords
+    computed them before level_labels: every character starts at its rank
+    among those of its length and climbs one level per pass over all of
+    them, reading one codeword bit per level (a right child being one whose
+    rank exceeds nodes[d]/2)."""
+    from ncpc.codewords import depth_tables
+    lens = np.asarray(lengths, dtype=np.int64)
+    sigma = lens.size
+    leaves, nodes = depth_tables(lens)
+    if sigma == 1:
+        return np.zeros(1, dtype=np.uint64), lens
+    order = np.argsort(lens, kind="stable")
+    sl = lens[order]
+    group_start = np.concatenate(([0], np.flatnonzero(np.diff(sl)) + 1))
+    starts_per = np.repeat(group_start, np.diff(np.concatenate((group_start, [sigma]))))
+    r = np.empty(sigma, dtype=np.int64)
+    r[order] = np.arange(sigma) - starts_per + 1
+
+    vals = np.zeros(sigma, dtype=np.uint64)
+    for d in range(len(leaves) - 1, 0, -1):
+        half = nodes[d] // 2
+        act = lens >= d
+        rd = r[act]
+        bit = rd > half
+        vals[act] |= bit.astype(np.uint64) << (lens[act] - d).astype(np.uint64)
+        r[act] = rd - bit * half + leaves[d - 1]
+    return vals, lens
 
 
 # -- reverse-canonical decode without the root table ----------------------------

@@ -37,6 +37,25 @@ def test_single_symbol():
     assert build_optimal_alphabetic([1]).depths == (0,)
 
 
+def test_one_character_weights_are_validated_as_wider_ones():
+    """A lone zero, negative or non-integer weight is refused as two of them
+    are, before the cap is checked; alphabetic_profile lifts zeros first."""
+    from ncpc.codewords import huffman_lengths
+    builders = (garsia_wachs, build_optimal_alphabetic, huffman_lengths,
+                lambda f: build_height_restricted(f, 3), lambda f: build_height_restricted(f, -1))
+    for freqs in ([0], [-3], ["x"]):
+        for build in builders:
+            with pytest.raises(ValueError) as one:
+                build(freqs)
+            with pytest.raises(ValueError) as two:
+                build(freqs * 2)
+            assert str(one.value) == str(two.value)
+    with pytest.raises(ValueError, match="infeasible"):
+        build_height_restricted([1], -1)
+    assert build_height_restricted([1], 0).depths == (0,)
+    assert alphabetic_profile([0]).depths == (0,)
+
+
 def test_valley_weights_8118():
     freqs = [8, 1, 1, 8]
     best = brute_optimal_cost(freqs)  # enumerates all Catalan(3)=5 shapes

@@ -103,6 +103,30 @@ def test_encode_bytes_are_pinned_where_the_height_dp_caps_the_tree(tmp_path):
     assert dec.read_bytes() == DP_INPUT
 
 
+# 200,000 u32le records of a seeded zipf(1.0) corpus over sigma 65536, the
+# last one 65535: L is 18, so some wmm codewords fall past SequenceCodec's
+# 16-bit primary table
+WIDE_WMM_SHA256 = "85862d63ca9cd0abeefccdbbf2c3b31290071c148289c3ea0a0bb85677e28632"
+
+
+def test_encode_bytes_are_pinned_on_a_wide_u32le_alphabet(tmp_path):
+    import hashlib
+
+    from ncpc.corpus import container_read, gen_zipf
+    vals = gen_zipf(200_000, 65536, 1.0, 31).symbols.astype("<u4") - 1
+    vals[-1] = 65535
+    raw = vals.tobytes()
+    src, enc, dec = tmp_path / "in.u32", tmp_path / "in.ncpc", tmp_path / "out.u32"
+    src.write_bytes(raw)
+    assert run(["encode", str(src), str(enc), "--codec", "wmm", "--mode", "u32le"]) == EXIT_OK
+    blob = enc.read_bytes()
+    depths = container_read(blob).depths
+    assert (len(depths), max(depths)) == (65536, 18)
+    assert hashlib.sha256(blob).hexdigest() == WIDE_WMM_SHA256
+    assert run(["decode", str(enc), str(dec), "--mode", "u32le"]) == EXIT_OK
+    assert dec.read_bytes() == raw
+
+
 def test_encode_decode_roundtrip_u32le(tmp_path, rng):
     vals = rng.integers(0, 900, 3000, dtype=np.uint32)
     raw = vals.astype("<u4").tobytes()

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (bits_of, huffman_cost_twoqueue, huffman_lengths_heap,
-                      kraft_complete_multisets, revcanon_decode_per_bit,
-                      revcanon_encode_per_bit, revlex_char_codewords,
-                      tie_heavy_weight_cases)
+                      kraft_complete_multisets, revcanon_codewords_ascent,
+                      revcanon_decode_per_bit, revcanon_encode_per_bit,
+                      revlex_char_codewords, tie_heavy_weight_cases)
 from ncpc.bits import BitReader, pack_bits
+from ncpc.codewords import level_labels, revcanon_codewords
 from ncpc.corpus import gen_zipf
 from ncpc.errors import KraftViolation, NcpcError, NoSuchOccurrence, TruncatedStream
 from ncpc.revcanon import RevCanonCode, build_descent_table, huffman_lengths
@@ -226,6 +227,7 @@ def test_decode_truncated_stream():
 def test_zipf_4096_encode_decode_match_codeword_arrays():
     code = RevCanonCode(huffman_lengths(gen_zipf(100_000, 4096, 1.0, 7).smoothed_freqs()),
                         shape="huffman")
+    assert_codewords_like_the_ascent(code.depths)
     vals, lens = (a.tolist() for a in code.codeword_arrays())
     assert [code.encode(c) for c in range(1, code.sigma + 1)] == list(zip(vals, lens))
     r = BitReader(*pack_bits(vals, lens))
@@ -241,6 +243,7 @@ def test_sixty_four_bit_codewords_roundtrip():
     """L = 64: the wavelet weights of D pass 2^64, and codewords fill a full peek."""
     lengths = list(range(1, 65)) + [64]
     code = RevCanonCode(lengths)
+    assert_codewords_like_the_ascent(lengths)
     vals, lens = (a.tolist() for a in code.codeword_arrays())
     assert [code.encode(c) for c in range(1, 66)] == list(zip(vals, lens))
     msg = list(range(65, 0, -1)) + [1, 64, 65, 33]
@@ -278,10 +281,51 @@ def test_roundtrip_random(rng):
             assert code.decode(r)[0] == m
 
 
+def assert_codewords_like_the_ascent(lengths) -> None:
+    """revcanon_codewords and the per-level masked ascent agree, dtypes too."""
+    got, want = revcanon_codewords(lengths), revcanon_codewords_ascent(lengths)
+    assert [a.dtype for a in got] == [a.dtype for a in want] == [np.uint64, np.int64]
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+def test_codewords_match_the_per_level_ascent(rng):
+    """sigma = 1 and 2, depths in shuffled orders, 64-bit codewords, random
+    codes and the benchmark's zipf corpora at sigma 4096 and 65536."""
+    cases = [[0], [1, 1], FIVE, FIVE[::-1], list(range(1, 65)) + [64],
+             [64] + list(range(64, 0, -1)), [12] * 4096]
+    for sigma in (4096, 65536):
+        lengths = huffman_lengths(benchmark_freqs(sigma))
+        cases += [lengths, rng.permutation(lengths).tolist()]
+    for sigma in (1, 2, 3, 5, 17, 256, 4096):
+        cases += [huffman_lengths(w) for w in
+                  tie_heavy_weight_cases(rng, 3, sigma_max=sigma, sigma_min=sigma)]
+    for lengths in cases:
+        assert_codewords_like_the_ascent(lengths)
+
+
+def test_level_labels_are_each_depths_nodes_in_rank_order(rng):
+    """Depth d's labels against child_rank from the root: 2 sigma - 1 labels
+    in all, each d bits, leaves first."""
+    for lengths in ([0], [1, 1], FIVE, list(range(1, 65)) + [64],
+                    huffman_lengths(rng.integers(1, 99, 300).tolist())):
+        code = RevCanonCode(lengths)
+        levels = [lab.tolist() for lab in level_labels(code.leaves)]
+        assert [len(lab) for lab in levels] == code.nodes
+        assert sum(code.nodes) == 2 * code.sigma - 1
+        ranks = {0: 1}                  # rank of each depth-d node, by its label
+        for d, labels in enumerate(levels):
+            if d:
+                ranks = {p << 1 | b: code.child_rank(d, r, b) for p, r in ranks.items()
+                         if r > code.leaves[d - 1] for b in (0, 1)}
+            assert sorted(ranks, key=ranks.get) == labels
+            assert all(v >> d == 0 for v in labels)
+
+
 def test_codeword_arrays_match_encode(rng):
     for _ in range(25):
         sigma = int(rng.integers(1, 500))
         code = RevCanonCode(huffman_lengths(rng.integers(1, 99, sigma).tolist()))
+        assert_codewords_like_the_ascent(code.depths)
         vals, lens = code.codeword_arrays()
         for i, v, l in code.codeword_set():
             assert (int(vals[i - 1]), int(lens[i - 1])) == (v, l)
@@ -331,30 +375,42 @@ def root_table_cases(rng) -> tuple:
         huffman_lengths(rng.integers(1, 9, 65536).tolist()))
 
 
+def root_widths(code) -> list[int]:
+    """The code's own t and every descent-table width 1..min(16, L)."""
+    return sorted({code.t, *range(1, min(16, code.L) + 1)})
+
+
 def test_root_table_width_and_entries(rng):
-    """t = ceil(ceil(lg sigma) / 2); window w holds (c, d) when it starts with
-    c's codeword of length d <= t, else first[t] + r for the rank r of its
-    node at depth t: that node's index + 1 in the label table."""
+    """t = ceil(ceil(lg sigma) / 2); at the code's own t and at every
+    descent-table width w, window v holds (c, d) when it starts with c's
+    codeword of length d <= w, else first[w] + r for the rank r of its
+    node at depth w: that node's index + 1 in the label table."""
     for lengths in root_table_cases(rng):
         code = RevCanonCode(lengths)
         sigma = len(lengths)
         t = code.t
-        first_t = sum(code.leaves[:t])
         assert t == -(-int(np.ceil(np.log2(sigma))) // 2)
         assert len(code.root) == 1 << t
-        want: list = [None] * (1 << t)
-        for c, v, l in code.codeword_set():
-            if l <= t:
-                want[v << (t - l):(v + 1) << (t - l)] = [(c, l)] * (1 << (t - l))
-        for w, e in enumerate(code.root):
-            if want[w] is None:     # an internal node, whose rank the descent reaches
-                assert type(e) is int and code.leaves[t] < e - first_t <= code.nodes[t]
-                r = 1
-                for d in range(1, t + 1):
-                    r = code.child_rank(d, r, (w >> (t - d)) & 1)
-                assert e == first_t + r
-            else:
-                assert e == want[w]
+        cws = code.codeword_set()
+        ranks = [{0: 1}]    # per depth, each node's rank by its label, by child_rank from the root
+        for d in range(1, max(root_widths(code)) + 1):
+            ranks.append({p << 1 | b: code.child_rank(d, r, b) for p, r in ranks[-1].items()
+                          if r > code.leaves[d - 1] for b in (0, 1)})
+        for w in root_widths(code):
+            root = code.root if w == t else build_descent_table(code, w).root
+            assert len(root) == 1 << w
+            first_w = sum(code.leaves[:w])
+            want: list = [None] * (1 << w)
+            for c, v, l in cws:
+                if l <= w:
+                    want[v << (w - l):(v + 1) << (w - l)] = [(c, l)] * (1 << (w - l))
+            for v, e in enumerate(root):
+                if want[v] is None:     # an internal node, whose rank the descent reaches
+                    r = ranks[w][v]
+                    assert type(e) is int and code.leaves[w] < r <= code.nodes[w]
+                    assert e == first_w + r
+                else:
+                    assert e == want[v]
         assert code.size_breakdown()["root"] == (1 << t) * (
             int(np.ceil(np.log2(t + 2))) + int(np.ceil(np.log2(sigma + 1))))
         assert code.size_breakdown()["label"] == len(code.label) * t
@@ -363,28 +419,34 @@ def test_root_table_width_and_entries(rng):
 
 
 def test_label_table_inverts_the_root_table(rng):
-    """Every window maps back to the label of the node it starts with: w at
-    label[e - 1] for a miss entry e (an internal node at depth t), w >> (t - d)
-    for a leaf of depth d; and every label entry is some window's node."""
+    """At the code's own t and at every descent-table width w, every window
+    maps back to the label of the node it starts with: v at label[e - 1]
+    for a miss entry e (an internal node at depth w), v >> (w - d) for a
+    leaf of depth d; and every label entry is some window's node."""
     for lengths in root_table_cases(rng):
         code = RevCanonCode(lengths)
-        t, label = code.t, code.label
-        first = [sum(code.leaves[:d]) for d in range(t + 1)]
         seen = collections.Counter()
         rank_of = []    # each character's rank among those of its length
         for l in lengths:
             seen[l] += 1
             rank_of.append(seen[l])
-        reached = set()
-        for w, e in enumerate(code.root):
-            if type(e) is int:
-                k, want = e - 1, w
+        for w in root_widths(code):
+            root, label = code._root_table(w)
+            if w == code.t:
+                assert (root, label) == (code.root, code.label)
             else:
-                c, d = e
-                k, want = first[d] + rank_of[c - 1] - 1, w >> (t - d)
-            assert label[k] == want
-            reached.add(k)
-        assert reached == set(range(len(label))) and len(label) <= 1 << t
+                assert root == build_descent_table(code, w).root
+            first = [sum(code.leaves[:d]) for d in range(w + 1)]
+            reached = set()
+            for v, e in enumerate(root):
+                if type(e) is int:
+                    k, want = e - 1, v
+                else:
+                    c, d = e
+                    k, want = first[d] + rank_of[c - 1] - 1, v >> (w - d)
+                assert label[k] == want
+                reached.add(k)
+            assert reached == set(range(len(label))) and len(label) <= 1 << w
 
 
 def test_encode_matches_per_bit_ascent(rng):
@@ -446,6 +508,23 @@ def test_second_cut_t2_is_pinned():
         code = RevCanonCode(lengths)
         assert (code.t, code.t2) == (t, t2) == (code.t, t2_rule(code))
         assert len(code.chars) == sum(code.leaves[:t2 + 1]) <= 1 << t
+
+
+def test_building_a_code_makes_no_wavelet_select(monkeypatch):
+    """chars, the root table, label and _shallow come from the depths and
+    level_labels alone: with D.select refusing, the benchmark's zipf codes
+    at sigma 4096 and 65536 still build, and decode as before."""
+    lengths = [huffman_lengths(benchmark_freqs(sigma)) for sigma in (4096, 65536)]
+    before = [RevCanonCode(lens) for lens in lengths]
+
+    def refuse(*_):
+        raise AssertionError("D.select while building the code")
+    monkeypatch.setattr(WaveletTree, "select", refuse)
+    for lens, old in zip(lengths, before):
+        code = RevCanonCode(lens)
+        assert code.t2 < code.L     # there are leaves that only select names
+        assert (code.chars, code.root, code.label, code._shallow) == (
+            old.chars, old.root, old.label, old._shallow)
 
 
 def test_chars_lists_the_characters_of_depth_at_most_t2_in_label_order(rng):
@@ -658,6 +737,7 @@ def test_matches_revlex_tree_oracle_exhaustive():
             perms = {ms, tuple(rng.permutation(list(ms)).tolist())}
             for lengths in perms:
                 code = RevCanonCode(list(lengths))
+                assert_codewords_like_the_ascent(lengths)
                 want = revlex_char_codewords(lengths)
                 got = [bits_of(v, l) for _, v, l in code.codeword_set()]
                 assert got == want, lengths
